@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .experiment import (
     write_variance_report,
 )
 from .ioutil import atomic_write_text
-from .predictor import FeatureSpec, load_model, param_count, save_model
+from .predictor import FeatureSpec, _expected_shapes, load_model, param_count, save_model
 from .prune import PruneSpec, prune_magnitude, sparsity
 from .resample import make_plan, plan_to_manifest
 
@@ -42,18 +41,14 @@ RESULTS_NAME = "results.csv"
 MANIFEST_NAME = "run_manifest.json"
 
 
-def _estimated_params(member: MemberSpec, num_classes: int = 2) -> int:
-    """Parameter count assuming a binary task (validate-time estimate)."""
-    dims, hidden = member.feature_spec.dims, member.effective_hidden()
-    if hidden == 0:
-        return dims * num_classes + num_classes
-    return dims * hidden + hidden + hidden * num_classes + num_classes
-
-
 def cmd_validate(args) -> int:
     configs = parse_config_file(args.config)
     for config in configs:
-        est = sum(_estimated_params(m) for m in config.members)
+        # Parameter count as if every task were binary.
+        est = sum(
+            sum(_expected_shapes(m.feature_spec, m.effective_hidden(), 2).values())
+            for m in config.members
+        )
         print(
             f"{config.config_id}: type={config.config_type} "
             f"members={len(config.members)} est_params={est}"
@@ -76,21 +71,18 @@ def cmd_run(args) -> int:
         except (DataError, ConfigError) as exc:
             task_errors[task] = str(exc)
 
-    def run_one(config):
-        bad = [t for t in config.tasks if t in task_errors]
-        if bad:
-            raise ConfigError(f"config {config.config_id!r}: unavailable tasks {bad}")
-        return run_config(config, data)
-
+    # Configurations run one at a time, in file order. Threads do not pay
+    # here: the work is many small numpy calls that contend for the GIL.
     results = []
     failures = []
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [(c.config_id, pool.submit(run_one, c)) for c in configs]
-        for config_id, future in futures:
-            try:
-                results.append(future.result())
-            except BagkitError as exc:
-                failures.append((config_id, str(exc)))
+    for config in configs:
+        bad = [t for t in config.tasks if t in task_errors]
+        try:
+            if bad:
+                raise ConfigError(f"config {config.config_id!r}: unavailable tasks {bad}")
+            results.append(run_config(config, data))
+        except BagkitError as exc:
+            failures.append((config.config_id, str(exc)))
 
     out_dir = Path(args.out)
     if results:
@@ -190,7 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="data directory of task subdirectories")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override every config's base_seed")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent configuration runs")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="cap on configurations run at once (>= 1); they run one at a time",
+    )
     p.add_argument("--top", type=int, default=15, help="result rows to print")
     p.set_defaults(handler=cmd_run)
 
@@ -224,6 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "run" and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.verb == "variance":
         if args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")

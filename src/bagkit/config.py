@@ -49,12 +49,43 @@ _CONFIG_KEYS = {"config_id", "config_type", "tasks", "members", "base_seed"}
 _FEATURE_KEYS = {"dims", "ngram_max", "lowercase"}
 _HYPER_KEYS = {"learning_rate", "epochs", "l2", "hidden_size", "seed"}
 _TASK_META_KEYS = {"num_classes", "label_map", "metric"}
+_FIELD_KINDS = {
+    "dims": "int",
+    "ngram_max": "int",
+    "lowercase": "bool",
+    "learning_rate": "number",
+    "epochs": "int",
+    "l2": "number",
+    "hidden_size": "int",
+    "seed": "int",
+}
+# JSON kind -> accepted Python types and how to name them. Python's bool is
+# an int subclass, so true/false is checked apart: it is neither an int nor
+# a number here, and nothing else counts as a bool.
+_KINDS = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "number": ((int, float), "a number"),
+}
 
 
 def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {unknown}")
+
+
+def _require(value, kind: str, where: str, error: type[Exception] = ConfigError):
+    """Return value if it is a JSON value of kind, else raise error naming where."""
+    types, desc = _KINDS[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        raise error(f"{where} must be {desc}, got {value!r}")
+    return value
+
+
+def _require_fields(doc: dict, where: str) -> None:
+    for key, value in doc.items():
+        _require(value, _FIELD_KINDS[key], f"{where}.{key}")
 
 
 def _parse_member(doc, where: str) -> MemberSpec:
@@ -68,9 +99,9 @@ def _parse_member(doc, where: str) -> MemberSpec:
     if not isinstance(feature_doc, dict):
         raise ConfigError(f"{where}: feature_spec must be an object")
     _reject_unknown(feature_doc, _FEATURE_KEYS, f"{where}.feature_spec")
+    _require_fields(feature_doc, f"{where}.feature_spec")
 
     hyper_doc = doc.get("hyper_override")
-    hyper = None
     if hyper_doc is not None:
         if not isinstance(hyper_doc, dict):
             raise ConfigError(f"{where}: hyper_override must be an object or null")
@@ -78,15 +109,17 @@ def _parse_member(doc, where: str) -> MemberSpec:
         missing = sorted(_HYPER_KEYS - set(hyper_doc))
         if missing:
             raise ConfigError(f"{where}.hyper_override: missing fields {missing}")
-        hyper = Hyperparams(**hyper_doc)
+        _require_fields(hyper_doc, f"{where}.hyper_override")
+    prune_fraction = _require(doc.get("prune_fraction", 0.0), "number", f"{where}.prune_fraction")
+    bagged = _require(doc.get("bagged", False), "bool", f"{where}.bagged")
 
     try:
         return MemberSpec(
             model_kind=doc["model_kind"],
             feature_spec=FeatureSpec(**feature_doc),
-            hyper_override=hyper,
-            prune_fraction=float(doc.get("prune_fraction", 0.0)),
-            bagged=bool(doc.get("bagged", False)),
+            hyper_override=None if hyper_doc is None else Hyperparams(**hyper_doc),
+            prune_fraction=float(prune_fraction),
+            bagged=bagged,
         )
     except (DataError, ConfigError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -130,6 +163,7 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[EnsembleConf
         members = tuple(
             _parse_member(m, f"{where}.members[{k}]") for k, m in enumerate(entry["members"])
         )
+        base_seed = _require(entry["base_seed"], "int", f"{where}.base_seed")
         try:
             configs.append(
                 EnsembleConfig(
@@ -137,10 +171,10 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[EnsembleConf
                     config_type=entry["config_type"],
                     members=members,
                     tasks=tuple(entry["tasks"]),
-                    base_seed=int(entry["base_seed"]),
+                    base_seed=base_seed,
                 )
             )
-        except (ConfigError, DataError, TypeError, ValueError) as exc:
+        except (ConfigError, DataError, TypeError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return tuple(configs)
 
@@ -170,8 +204,12 @@ def load_task_dir(task_dir: str | Path) -> TaskData:
     for key in ("num_classes", "label_map"):
         if key not in meta:
             raise DataError(f"{meta_path}: missing {key!r}")
-    num_classes = int(meta["num_classes"])
-    label_map = {str(k): int(v) for k, v in meta["label_map"].items()}
+    num_classes = _require(meta["num_classes"], "int", f"{meta_path}: num_classes", DataError)
+    label_map = meta["label_map"]
+    if not isinstance(label_map, dict):
+        raise DataError(f"{meta_path}: label_map must be an object")
+    for label, index in label_map.items():
+        _require(index, "int", f"{meta_path}: label_map[{label!r}]", DataError)
     metric = meta.get("metric", "accuracy")
 
     parts = {}

@@ -17,9 +17,7 @@ resamples of that same first-level sample.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +29,7 @@ from .ioutil import atomic_write_text
 from .metrics import METRIC_NAMES, evaluate, mean_std
 from .predictor import FeatureSpec, Hyperparams, Model, fit, param_count, predict_proba_dataset
 from .prune import PruneSpec, prune_magnitude
-from .resample import bootstrap, derive_seed, make_plan, materialize
+from .resample import _task_seed, bootstrap, derive_seed, make_plan, materialize
 
 __all__ = [
     "MODEL_KINDS",
@@ -272,14 +270,6 @@ def grid_search(
     return best
 
 
-def _task_seed(base_seed: int, task: str) -> int:
-    digest = hashlib.blake2b(
-        struct.pack("<Q", base_seed & 0xFFFFFFFFFFFFFFFF) + task.encode("utf-8"),
-        digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, "little")
-
-
 def _member_hyper(
     member: MemberSpec,
     chosen: dict[tuple, Hyperparams],
@@ -300,32 +290,48 @@ def _member_hyper(
     return chosen[key]
 
 
+def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | None]]:
+    """The full-data seed and, per member, its bootstrap sample seed or None.
+
+    Full-data members share one seed, so identical members are one model.
+    """
+    task_seed = _task_seed(config.base_seed, task)
+    sample_seeds = [
+        derive_seed(task_seed, 1, k) if member.bagged else None
+        for k, member in enumerate(config.members)
+    ]
+    return derive_seed(task_seed, 0, 0), sample_seeds
+
+
+def _fit_member(train_ds: Dataset, member: MemberSpec, hyper: Hyperparams) -> Model:
+    """Fit one member, then magnitude-prune it if the member asks for it."""
+    model = fit(train_ds, member.feature_spec, hyper)
+    if member.prune_fraction > 0:
+        model = prune_magnitude(model, PruneSpec(member.prune_fraction))
+    return model
+
+
 def _train_members(
     config: EnsembleConfig, task: str, task_data: TaskData
 ) -> list[Model]:
-    task_seed = _task_seed(config.base_seed, task)
+    full_data_seed, sample_seeds = _member_seeds(config, task)
     chosen: dict[tuple, Hyperparams] = {}
     models: list[Model] = []
-    for k, member in enumerate(config.members):
+    for k, (member, sample_seed) in enumerate(zip(config.members, sample_seeds)):
         hyper = _member_hyper(member, chosen, task_data)
-        if member.bagged:
-            sample = bootstrap(len(task_data.train), derive_seed(task_seed, 1, k))
-            train_ds = materialize(task_data.train, sample)
-            hyper = replace(hyper, seed=sample.seed)
-        else:
-            # All full-data members share one seed so identical members are
-            # one and the same model, trained once conceptually.
+        if sample_seed is None:
             train_ds = task_data.train
-            hyper = replace(hyper, seed=derive_seed(task_seed, 0, 0))
+            hyper = replace(hyper, seed=full_data_seed)
+        else:
+            sample = bootstrap(len(task_data.train), sample_seed)
+            train_ds = materialize(task_data.train, sample)
+            hyper = replace(hyper, seed=sample_seed)
         try:
-            model = fit(train_ds, member.feature_spec, hyper)
+            models.append(_fit_member(train_ds, member, hyper))
         except TrainingDiverged as exc:
             raise TrainingDiverged(
                 f"config {config.config_id!r}, task {task!r}, member {k}: {exc}"
             ) from exc
-        if member.prune_fraction > 0:
-            model = prune_magnitude(model, PruneSpec(member.prune_fraction))
-        models.append(model)
     return models
 
 
@@ -384,23 +390,17 @@ def variance_analysis(
     test_labels = task_data.test.labels()
     num_classes = task_data.test.num_classes
 
-    def fit_member(train_ds: Dataset, seed: int) -> Model:
-        model = fit(train_ds, member.feature_spec, replace(hyper_base, seed=seed))
-        if member.prune_fraction > 0:
-            model = prune_magnitude(model, PruneSpec(member.prune_fraction))
-        return model
-
     singles: list[float] = []
     ensembles: list[float] = []
-    for i in range(n):
-        first_ds = materialize(task_data.train, plan.first_level[i])
-        single = fit_member(first_ds, plan.first_level[i].seed)
+    for first, second in zip(plan.first_level, plan.second_level):
+        first_ds = materialize(task_data.train, first)
+        single = _fit_member(first_ds, member, replace(hyper_base, seed=first.seed))
         preds = _argmax_predictions(single, task_data.test)
         singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
 
         group = [
-            fit_member(materialize(first_ds, sample), sample.seed)
-            for sample in plan.second_level[i]
+            _fit_member(materialize(first_ds, s), member, replace(hyper_base, seed=s.seed))
+            for s in second
         ]
         voters = Ensemble(members=tuple(group), num_classes=num_classes)
         winners, _ = predict_dataset(voters, task_data.test)
@@ -514,18 +514,14 @@ def sampling_manifest(configs, data: dict[str, TaskData]) -> dict:
         for task in config.tasks:
             if task not in data:
                 continue
-            task_seed = _task_seed(config.base_seed, task)
-            seeds = [
-                derive_seed(task_seed, 1, k) if member.bagged else None
-                for k, member in enumerate(config.members)
-            ]
+            full_data_seed, sample_seeds = _member_seeds(config, task)
             entries.append(
                 {
                     "config_id": config.config_id,
                     "task": task,
                     "dataset_size": len(data[task].train),
-                    "full_data_seed": derive_seed(task_seed, 0, 0),
-                    "member_sample_seeds": seeds,
+                    "full_data_seed": full_data_seed,
+                    "member_sample_seeds": sample_seeds,
                 }
             )
     return {"format": "bagkit-run-manifest-v1", "entries": entries}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,7 @@ import scipy.sparse as sp
 
 from .dataset import Dataset, Example
 from .errors import BagkitError, DataError, TrainingDiverged
+from .ioutil import atomic_write
 
 __all__ = [
     "FeatureSpec",
@@ -117,14 +119,20 @@ class Model:
                 f"parameter arrays {sorted(self.params)} do not match "
                 f"expected {sorted(expected)}"
             )
-        for name, length in expected.items():
+        # Read-only copies in a dict of the model's own, in the caller's key
+        # order: the L2 term of the loss sums the weights in that order.
+        params: dict[str, np.ndarray] = {}
+        for name in self.params:
             arr = np.array(self.params[name], dtype=np.float64).reshape(-1)
-            if arr.shape[0] != length:
-                raise BagkitError(f"parameter {name!r} has length {arr.shape[0]}, expected {length}")
+            if arr.shape[0] != expected[name]:
+                raise BagkitError(
+                    f"parameter {name!r} has length {arr.shape[0]}, expected {expected[name]}"
+                )
             if not np.all(np.isfinite(arr)):
                 raise BagkitError(f"parameter {name!r} contains non-finite values")
             arr.flags.writeable = False
-            self.params[name] = arr
+            params[name] = arr
+        object.__setattr__(self, "params", params)
 
 
 def _tokens(text: str, lowercase: bool) -> list[str]:
@@ -151,11 +159,12 @@ def featurize(example: Example, spec: FeatureSpec) -> dict[int, int]:
     return counts
 
 
-def _design_matrix(dataset: Dataset, spec: FeatureSpec) -> sp.csr_matrix:
+def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> sp.csr_matrix:
+    """One CSR row of hashed counts per example, column indices sorted."""
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
-    for ex in dataset.examples:
+    for ex in examples:
         row = featurize(ex, spec)
         for idx in sorted(row):
             indices.append(idx)
@@ -163,7 +172,7 @@ def _design_matrix(dataset: Dataset, spec: FeatureSpec) -> sp.csr_matrix:
         indptr.append(len(indices))
     return sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(dataset), spec.dims),
+        shape=(len(indptr) - 1, spec.dims),
     )
 
 
@@ -193,6 +202,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=1, keepdims=True)
 
 
+def _forward(
+    params: dict[str, np.ndarray], x: sp.csr_matrix, num_classes: int, hidden_size: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Hidden activations (None for logistic regression) and output logits."""
+    dims = x.shape[1]
+    if hidden_size > 0:
+        w_h = params["hidden_weight"].reshape(dims, hidden_size)
+        hidden = np.tanh(x @ w_h + params["hidden_bias"])
+        w_o = params["out_weight"].reshape(hidden_size, num_classes)
+        return hidden, hidden @ w_o + params["out_bias"]
+    w_o = params["out_weight"].reshape(dims, num_classes)
+    return None, x @ w_o + params["out_bias"]
+
+
+# Overflow is detected via the finite-loss check, not warnings.
+@np.errstate(all="ignore")
 def _loss_and_grads(
     params: dict[str, np.ndarray],
     x: sp.csr_matrix,
@@ -207,27 +232,8 @@ def _loss_and_grads(
     Feeds both the training loop and the finite-difference gradient check, so
     the analytic gradients here are exactly what training uses.
     """
-    batch = x.shape[0]
-    dims = x.shape[1]
-
-    # Overflow is detected via the finite-loss check, not warnings.
-    with np.errstate(all="ignore"):
-        return _loss_and_grads_inner(
-            params, x, labels, num_classes, hidden_size, l2, want_grads, batch, dims
-        )
-
-
-def _loss_and_grads_inner(params, x, labels, num_classes, hidden_size, l2, want_grads, batch, dims):
-    if hidden_size > 0:
-        w_h = params["hidden_weight"].reshape(dims, hidden_size)
-        b_h = params["hidden_bias"]
-        w_o = params["out_weight"].reshape(hidden_size, num_classes)
-        hidden = np.tanh(x @ w_h + b_h)
-        logits = hidden @ w_o + params["out_bias"]
-    else:
-        w_o = params["out_weight"].reshape(dims, num_classes)
-        logits = x @ w_o + params["out_bias"]
-
+    batch, dims = x.shape
+    hidden, logits = _forward(params, x, num_classes, hidden_size)
     probs = _softmax(logits)
     eps = np.finfo(np.float64).tiny
     data_loss = -np.mean(np.log(probs[np.arange(batch), labels] + eps))
@@ -245,7 +251,9 @@ def _loss_and_grads_inner(params, x, labels, num_classes, hidden_size, l2, want_
     d_logits /= batch
 
     grads: dict[str, np.ndarray] = {}
-    if hidden_size > 0:
+    w_o = params["out_weight"].reshape(-1, num_classes)
+    if hidden is not None:
+        w_h = params["hidden_weight"].reshape(dims, hidden_size)
         grads["out_weight"] = (hidden.T @ d_logits + l2 * w_o).ravel()
         grads["out_bias"] = d_logits.sum(axis=0)
         d_hidden = (d_logits @ w_o.T) * (1.0 - hidden * hidden)
@@ -308,31 +316,17 @@ def fit(train: Dataset, spec: FeatureSpec, hyper: Hyperparams) -> Model:
 
 def predict_proba(model: Model, example: Example) -> np.ndarray:
     """Class-probability vector (softmax output) for one example."""
-    row = featurize(example, model.spec)
-    indices = np.array(sorted(row), dtype=np.int64)
-    data = np.array([float(row[i]) for i in sorted(row)])
-    x = sp.csr_matrix(
-        (data, indices, np.array([0, len(indices)], dtype=np.int64)),
-        shape=(1, model.spec.dims),
-    )
-    return _forward_proba(model, x)[0]
+    return _forward_proba(model, _design_matrix((example,), model.spec))[0]
 
 
 def predict_proba_dataset(model: Model, dataset: Dataset) -> np.ndarray:
     """Probability matrix (num_examples x num_classes) for a whole dataset."""
-    x = _design_matrix(dataset, model.spec)
-    return _forward_proba(model, x)
+    return _forward_proba(model, _design_matrix(dataset, model.spec))
 
 
 def _forward_proba(model: Model, x: sp.csr_matrix) -> np.ndarray:
-    hidden_size = model.hyper.hidden_size
-    if hidden_size > 0:
-        w_h = model.params["hidden_weight"].reshape(model.spec.dims, hidden_size)
-        hidden = np.tanh(x @ w_h + model.params["hidden_bias"])
-        logits = hidden @ model.params["out_weight"].reshape(hidden_size, model.num_classes)
-    else:
-        logits = x @ model.params["out_weight"].reshape(model.spec.dims, model.num_classes)
-    return _softmax(logits + model.params["out_bias"])
+    _, logits = _forward(model.params, x, model.num_classes, model.hyper.hidden_size)
+    return _softmax(logits)
 
 
 def training_loss(model: Model, dataset: Dataset) -> float:
@@ -356,7 +350,10 @@ def param_count(model: Model) -> int:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    """Write a self-describing .npz container; round-trips predictions bit-exactly."""
+    """Write a self-describing .npz container to exactly path, atomically.
+
+    Round-trips predictions bit-exactly. No suffix is added to path.
+    """
     meta = {
         "format": _MODEL_FORMAT,
         "spec": {
@@ -375,7 +372,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "param_order": sorted(model.params),
     }
     arrays = {f"param:{name}": model.params[name] for name in sorted(model.params)}
-    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+    atomic_write(path, lambda fh: np.savez(fh, meta=np.array(json.dumps(meta)), **arrays))
 
 
 def load_model(path: str | Path) -> Model:

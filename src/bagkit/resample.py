@@ -50,6 +50,15 @@ def derive_seed(base_seed: int, level: int, i: int, j: int = 0) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _task_seed(base_seed: int, task: str) -> int:
+    """Stable 64-bit seed for one task of a configuration run under base_seed."""
+    digest = hashlib.blake2b(
+        struct.pack("<Q", base_seed & 0xFFFFFFFFFFFFFFFF) + task.encode("utf-8"),
+        digest_size=8,
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
 @dataclass(frozen=True)
 class BootstrapSample:
     """One with-replacement sample: N indices into a size-N source."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,12 +12,32 @@ from bagkit.cli import (
     main,
 )
 from bagkit.predictor import FeatureSpec, Hyperparams, fit, load_model, save_model
-from bagkit.prune import sparsity
+from bagkit.prune import PruneSpec, prune_magnitude, sparsity
 from bagkit.toy import synthetic_task
+
+# Golden output bytes (sha256). Every output is a pure function of its
+# inputs, so a refactor must leave these unchanged; a change that alters any
+# of them must say why in CHANGES.md.
+GOLDEN_RUN = {
+    "results.csv": "b8eb1e3413ac009460b1b5cd42cd4bf094a047dcb81a990b314a51ba15c8b696",
+    "run_manifest.json": "f00afe1a6acd113388ad87cd892b6b8a32b54e1aee5142a270a485c8b0c5bffc",
+}
+GOLDEN_VARIANCE_LOGREG = {
+    "variance_topics2.csv": "7e07b46d8db991c6b773c4142b3525c35ed3eceeefa18d1ef6b5e2671bfb1614",
+    "plan_topics2.json": "8d4fcfa160685d409425e5ff0f71ef009b244e29efb047cf3205d3b9b92a48d7",
+}
+GOLDEN_VARIANCE_MLP_PRUNED = {
+    "variance_topics3.csv": "c81be260908ebce454e8340c854748bf6c5725e91b4f659e28c6523d1eb64cca",
+    "plan_topics3.json": "8ccda4a5c69c85554c8d33a388de1f0b39478fdec533897d50e115eb9417f1c2",
+}
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def file_hashes(out_dir, names):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
 
 
 class TestValidate:
@@ -99,6 +120,23 @@ class TestRun:
         assert len(bagged["member_sample_seeds"]) == 3
         assert all(isinstance(s, int) for s in bagged["member_sample_seeds"])
 
+    def test_golden_bytes(self, toy_run):
+        _, out_dir = toy_run
+        assert file_hashes(out_dir, GOLDEN_RUN) == GOLDEN_RUN
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_usage_error(self, toy_workspace, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "run",
+                "--config", toy_workspace / "configs.json",
+                "--data", toy_workspace / "data",
+                "--out", tmp_path,
+                "--jobs", jobs,
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "results.csv").exists()
+
     def test_rerun_is_byte_identical(self, toy_workspace, toy_run, tmp_path):
         _, first_out = toy_run
         second_out = tmp_path / "out2"
@@ -170,7 +208,25 @@ class TestVariance:
         assert code == EXIT_OK
         lines = (out_dir / "variance_topics2.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 + 4 + 4
-        assert (out_dir / "plan_topics2.json").is_file()
+        assert file_hashes(out_dir, GOLDEN_VARIANCE_LOGREG) == GOLDEN_VARIANCE_LOGREG
+
+    def test_mlp_pruned_golden_bytes(self, toy_workspace, tmp_path):
+        out_dir = tmp_path / "var"
+        code = run_cli(
+            "variance",
+            "--task", "topics3",
+            "--data", toy_workspace / "data",
+            "--out", out_dir,
+            "--model", "mlp",
+            "--dims", 256,
+            "--hidden", 8,
+            "--prune", 0.3,
+            "--n", 3,
+            "--m", 2,
+            "--seed", 5,
+        )
+        assert code == EXIT_OK
+        assert file_hashes(out_dir, GOLDEN_VARIANCE_MLP_PRUNED) == GOLDEN_VARIANCE_MLP_PRUNED
 
     def test_n_one_is_usage_error(self, toy_workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -221,6 +277,33 @@ class TestPruneVerb:
         total = sum(a.size for a in pruned.params.values())
         assert sparsity(pruned) == pytest.approx(int(0.5 * total) / total)
 
+    def test_writes_exactly_the_given_path(self, tmp_path, capsys):
+        td = synthetic_task("clip", seed=2, n_train=60, n_val=20, n_test=20)
+        model = fit(td.train, FeatureSpec(dims=128), Hyperparams(epochs=3))
+        src = tmp_path / "model.npz"
+        save_model(model, src)
+        dst = tmp_path / "p"
+        code = run_cli("prune", "--model", src, "--out", dst, "--fraction", 0.5)
+        assert code == EXIT_OK
+        assert f"wrote {dst}:" in capsys.readouterr().out
+        assert dst.is_file() and not (tmp_path / "p.npz").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "p"]
+        expected = prune_magnitude(model, PruneSpec(0.5))
+        loaded = load_model(dst)
+        assert loaded.hyper == expected.hyper and loaded.spec == expected.spec
+        for name, arr in expected.params.items():
+            assert np.array_equal(loaded.params[name], arr)
+
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        td = synthetic_task("clip", seed=2, n_train=60, n_val=20, n_test=20)
+        src = tmp_path / "model.npz"
+        save_model(fit(td.train, FeatureSpec(dims=128), Hyperparams(epochs=1)), src)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = run_cli("prune", "--model", src, "--out", blocker / "p", "--fraction", 0.1)
+        assert code == EXIT_IO
+        assert "cannot write" in capsys.readouterr().err
+
     def test_missing_model_file(self, tmp_path, capsys):
         code = run_cli(
             "prune", "--model", tmp_path / "no.npz", "--out", tmp_path / "o.npz", "--fraction", 0.1
@@ -239,3 +322,69 @@ class TestReportVerb:
 
     def test_missing_results(self, tmp_path):
         assert run_cli("report", "--results", tmp_path / "none.csv") == EXIT_IO
+
+
+def _write_config(path, member=None, **config):
+    doc = {
+        "config_id": "c1",
+        "config_type": "single",
+        "tasks": ["t"],
+        "base_seed": 7,
+        "members": [{"model_kind": "logreg", "feature_spec": {"dims": 64}, **(member or {})}],
+        **config,
+    }
+    path.write_text(json.dumps({"configs": [doc]}))
+
+
+def _write_task_dir(data_dir, **meta):
+    task_dir = data_dir / "t"
+    task_dir.mkdir(parents=True)
+    doc = {"num_classes": 2, "label_map": {"no": 0, "yes": 1}, **meta}
+    (task_dir / "task.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "member, config, task_meta, expected_code, located",
+    [
+        ({"bagged": "no"}, {}, None, EXIT_VALIDATION, "members[0].bagged"),
+        ({"bagged": 1}, {}, None, EXIT_VALIDATION, "members[0].bagged"),
+        ({"prune_fraction": "abc"}, {}, None, EXIT_VALIDATION, "members[0].prune_fraction"),
+        ({"prune_fraction": True}, {}, None, EXIT_VALIDATION, "members[0].prune_fraction"),
+        ({"feature_spec": {"dims": 64, "lowercase": "no"}}, {}, None, EXIT_VALIDATION,
+         "feature_spec.lowercase"),
+        ({"feature_spec": {"dims": 64, "ngram_max": 2.0}}, {}, None, EXIT_VALIDATION,
+         "feature_spec.ngram_max"),
+        ({"hyper_override": {"learning_rate": 0.5, "epochs": 2.5, "l2": 0.0, "hidden_size": 0,
+                             "seed": 0}}, {}, None, EXIT_VALIDATION, "hyper_override.epochs"),
+        ({"hyper_override": {"learning_rate": 0.5, "epochs": 0, "l2": 0.0, "hidden_size": 0,
+                             "seed": 0}}, {}, None, EXIT_VALIDATION, "members[0]: epochs"),
+        ({}, {"base_seed": 7.9}, None, EXIT_VALIDATION, "base_seed"),
+        ({}, {"base_seed": True}, None, EXIT_VALIDATION, "base_seed"),
+        (None, None, {"num_classes": "two"}, EXIT_IO, "num_classes"),
+        (None, None, {"num_classes": 2.0}, EXIT_IO, "num_classes"),
+        (None, None, {"label_map": {"no": 0, "yes": "one"}}, EXIT_IO, "label_map['yes']"),
+        (None, None, {"label_map": ["no", "yes"]}, EXIT_IO, "label_map"),
+    ],
+    ids=[
+        "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
+        "ngram-float", "epochs-float", "epochs-zero", "seed-float", "seed-bool", "classes-string",
+        "classes-float", "label-index-string", "label-map-list",
+    ],
+)
+def test_wrong_json_types_are_located_errors(
+    tmp_path, capsys, member, config, task_meta, expected_code, located
+):
+    """No value is coerced: each bad type ends in exit 3 or 5, naming the field."""
+    if task_meta is None:
+        path = tmp_path / "configs.json"
+        _write_config(path, member, **config)
+        code = run_cli("validate", "--config", path)
+    else:
+        _write_task_dir(tmp_path / "data", **task_meta)
+        code = run_cli(
+            "variance", "--task", "t", "--data", tmp_path / "data", "--out", tmp_path / "out",
+            "--n", 2, "--m", 1,
+        )
+    assert code == expected_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and located in err

@@ -9,7 +9,6 @@ from bagkit.experiment import (
     DEFAULT_SEARCH_SPACE,
     EnsembleConfig,
     MemberSpec,
-    _task_seed,
     equivalence_group,
     grid_search,
     run_config,
@@ -22,7 +21,7 @@ from bagkit.experiment import (
 from bagkit.metrics import accuracy
 from bagkit.predictor import FeatureSpec, Hyperparams, fit, param_count, predict_proba_dataset
 from bagkit.prune import PruneSpec, prune_magnitude
-from bagkit.resample import bootstrap, derive_seed, materialize
+from bagkit.resample import _task_seed, bootstrap, derive_seed, materialize
 from bagkit.toy import synthetic_task
 
 SPEC = FeatureSpec(dims=256)

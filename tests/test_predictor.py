@@ -271,3 +271,13 @@ def test_model_shape_validation():
             num_classes=2,
             params={"out_weight": np.full(16, np.nan), "out_bias": np.zeros(2)},
         )
+
+
+def test_model_keeps_callers_params_dict():
+    spec = FeatureSpec(dims=8)
+    weight, bias = [0.5] * 16, np.zeros(2)
+    params = {"out_weight": weight, "out_bias": bias}
+    model = Model(spec=spec, hyper=Hyperparams(), num_classes=2, params=params)
+    assert params["out_weight"] is weight and params["out_bias"] is bias
+    assert model.params is not params
+    assert not model.params["out_bias"].flags.writeable
