@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .experiment import (
     write_report,
     write_variance_report,
 )
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, open_text
 from .predictor import FeatureSpec, _expected_shapes, load_model, param_count, save_model
 from .prune import PruneSpec, prune_magnitude, sparsity
 from .resample import make_plan, plan_to_manifest
@@ -111,20 +112,25 @@ def _print_top(results, top: int) -> None:
         )
 
 
-def cmd_variance(args) -> int:
-    data = load_data_dir(args.data, [args.task])
-    task_data = data[args.task]
+@contextmanager
+def _flag(name: str):
+    """A value that a spec's own check rejects is a ConfigError naming the flag."""
+    try:
+        yield
+    except BagkitError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
-    hyper_override = None
+
+def cmd_variance(args) -> int:
+    with _flag("--dims"):
+        feature_spec = FeatureSpec(dims=args.dims)
+    with _flag("--prune"):
+        member = MemberSpec(args.model, feature_spec, prune_fraction=args.prune, bagged=True)
     if args.model == "mlp" and args.hidden != DEFAULT_HYPER["mlp"].hidden_size:
-        hyper_override = replace(DEFAULT_HYPER["mlp"], hidden_size=args.hidden)
-    member = MemberSpec(
-        model_kind=args.model,
-        feature_spec=FeatureSpec(dims=args.dims),
-        hyper_override=hyper_override,
-        prune_fraction=args.prune,
-        bagged=True,
-    )
+        with _flag("--hidden"):
+            hyper = replace(DEFAULT_HYPER["mlp"], hidden_size=args.hidden)
+            member = replace(member, hyper_override=hyper)
+    task_data = load_data_dir(args.data, [args.task])[args.task]
 
     report = variance_analysis(
         task_data, member, args.n, args.m, args.seed, task_name=args.task
@@ -144,8 +150,9 @@ def cmd_variance(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    model = load_model(args.model)
-    pruned = prune_magnitude(model, PruneSpec(args.fraction))
+    with _flag("--fraction"):
+        spec = PruneSpec(args.fraction)
+    pruned = prune_magnitude(load_model(args.model), spec)
     save_model(pruned, args.out)
     print(
         f"wrote {args.out}: params={param_count(pruned)} "
@@ -155,12 +162,10 @@ def cmd_prune(args) -> int:
 
 
 def cmd_report(args) -> int:
-    path = Path(args.results)
-    if not path.is_file():
-        raise DataError(f"results file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    with open_text(args.results, "results file") as fh:
+        lines = fh.read().splitlines()
     if not lines:
-        raise DataError(f"results file is empty: {path}")
+        raise DataError(f"results file is empty: {args.results}")
     for line in lines[: args.top + 1]:
         print(line)
     return EXIT_OK
@@ -223,6 +228,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.verb == "run" and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.verb in ("run", "report") and args.top < 0:
+        parser.error(f"--top must be >= 0, got {args.top}")
     if args.verb == "variance":
         if args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")

@@ -11,7 +11,6 @@ indices at load time via an explicit label_map. Unknown keys are ignored.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .ioutil import open_text, parse_json
 
 __all__ = ["Example", "Dataset", "SplitSpec", "load_jsonl", "split"]
 
@@ -100,22 +100,16 @@ def load_jsonl(path: str | Path, num_classes: int, label_map: dict[str, int]) ->
     num_classes : class count of the task; every mapped label must be below it.
     label_map : mapping from the label strings found in the file to class indices.
 
-    Raises DataError for a missing file, a malformed line (reported with its
-    line number), a label string absent from label_map, or a duplicate id.
+    Raises DataError for a missing or non-UTF-8 file, a malformed line
+    (reported with its line number), a label string absent from label_map,
+    or a duplicate id.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"dataset file not found: {path}")
-
     examples: list[Example] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path, "dataset file") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            record = parse_json(line.rstrip("\n"), f"{path}:{lineno}", DataError)
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{lineno}: record is not an object")
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
+import zlib
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ import scipy.sparse as sp
 
 from .dataset import Dataset, Example
 from .errors import BagkitError, DataError, TrainingDiverged
-from .ioutil import atomic_write
+from .ioutil import atomic_write, check_object, field_kinds, open_text, parse_json
 
 __all__ = [
     "FeatureSpec",
@@ -51,6 +53,9 @@ __all__ = [
 _BATCH_SIZE = 32
 _FIELD_SEP = "\x1f"
 _MODEL_FORMAT = "bagkit-model-v1"
+_META_FIELDS = {
+    "format": "str", "spec": "dict", "hyper": "dict", "num_classes": "int", "param_order": "list"
+}
 
 
 @dataclass(frozen=True)
@@ -356,18 +361,8 @@ def save_model(model: Model, path: str | Path) -> None:
     """
     meta = {
         "format": _MODEL_FORMAT,
-        "spec": {
-            "dims": model.spec.dims,
-            "ngram_max": model.spec.ngram_max,
-            "lowercase": model.spec.lowercase,
-        },
-        "hyper": {
-            "learning_rate": model.hyper.learning_rate,
-            "epochs": model.hyper.epochs,
-            "l2": model.hyper.l2,
-            "hidden_size": model.hyper.hidden_size,
-            "seed": model.hyper.seed,
-        },
+        "spec": asdict(model.spec),
+        "hyper": asdict(model.hyper),
         "num_classes": model.num_classes,
         "param_order": sorted(model.params),
     }
@@ -376,20 +371,28 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        try:
-            meta = json.loads(str(archive["meta"][()]))
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: not a model container: {exc}") from exc
-        if meta.get("format") != _MODEL_FORMAT:
-            raise DataError(f"{path}: unrecognized model format {meta.get('format')!r}")
-        params = {name: np.array(archive[f"param:{name}"]) for name in meta["param_order"]}
-    return Model(
-        spec=FeatureSpec(**meta["spec"]),
-        hyper=Hyperparams(**meta["hyper"]),
-        num_classes=meta["num_classes"],
-        params=params,
-    )
+    """Read a file written by save_model; any other file raises DataError."""
+    try:
+        with open_text(path, "model file", "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            where = f"{path}: meta"
+            meta = parse_json(str(npz["meta"][()]), where, DataError)
+            check_object(meta, _META_FIELDS, where, DataError)
+            if meta["format"] != _MODEL_FORMAT:
+                raise DataError(f"{path}: unrecognized model format {meta['format']!r}")
+            for key, cls in (("spec", FeatureSpec), ("hyper", Hyperparams)):
+                check_object(meta[key], field_kinds(cls), f"{where}.{key}", DataError)
+            params = {name: np.array(npz[f"param:{name}"]) for name in meta["param_order"]}
+    # What np.load and zipfile raise on bytes that are not an npz archive of
+    # plain arrays, and a param_order naming arrays the archive lacks.
+    except (KeyError, ValueError, TypeError, EOFError, NotImplementedError, RuntimeError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        raise DataError(f"{path}: not a bagkit model: {exc}") from exc
+    try:
+        return Model(
+            spec=FeatureSpec(**meta["spec"]),
+            hyper=Hyperparams(**meta["hyper"]),
+            num_classes=meta["num_classes"],
+            params=params,
+        )
+    except BagkitError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from bagkit.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXIT_USAGE,
     EXIT_VALIDATION,
     main,
 )
@@ -364,11 +367,15 @@ def _write_task_dir(data_dir, **meta):
         (None, None, {"num_classes": 2.0}, EXIT_IO, "num_classes"),
         (None, None, {"label_map": {"no": 0, "yes": "one"}}, EXIT_IO, "label_map['yes']"),
         (None, None, {"label_map": ["no", "yes"]}, EXIT_IO, "label_map"),
+        (None, None, {"metric": "f1"}, EXIT_IO, "task.json: metric"),
+        (None, None, {"num_classes": 1}, EXIT_IO, "task.json: num_classes"),
+        (None, None, {"label_map": {"no": 0, "yes": 5}}, EXIT_IO, "task.json: label_map['yes']"),
     ],
     ids=[
         "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
         "ngram-float", "epochs-float", "epochs-zero", "seed-float", "seed-bool", "classes-string",
-        "classes-float", "label-index-string", "label-map-list",
+        "classes-float", "label-index-string", "label-map-list", "metric-unknown", "classes-one",
+        "label-index-range",
     ],
 )
 def test_wrong_json_types_are_located_errors(
@@ -388,3 +395,116 @@ def test_wrong_json_types_are_located_errors(
     assert code == expected_code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and located in err
+
+
+@pytest.mark.parametrize("name", ["configs.json", "task.json", "train.jsonl", "results.csv"])
+def test_non_utf8_input_is_located_io_error(toy_workspace, tmp_path, capsys, name):
+    """A byte that is not UTF-8 in any input file exits 5 naming the file."""
+    shutil.copytree(toy_workspace / "data" / "topics2", tmp_path / "data" / "t")
+    shutil.copy(toy_workspace / "configs.json", tmp_path)
+    (tmp_path / "results.csv").write_text("config_id,avg_accuracy\nc1,0.9000\nc2,0.8000\n")
+    path = next(tmp_path.rglob(name))
+    data = path.read_bytes()
+    path.write_bytes(data[:20] + b"\xff" + data[20:])
+    argv = {
+        "configs.json": ["validate", "--config", path],
+        "results.csv": ["report", "--results", path],
+    }.get(name, ["variance", "--task", "t", "--data", tmp_path / "data", "--out", tmp_path / "out",
+                 "--dims", 16, "--n", 2, "--m", 1])
+    assert run_cli(*argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def _model_meta(path):
+    with np.load(path) as npz:
+        return json.loads(str(npz["meta"][()])), {k: npz[k] for k in npz.files if k != "meta"}
+
+
+def _patch_first_member(data: bytes, case: str) -> bytes:
+    """npz bytes whose first zip member claims encryption or another compression."""
+    b = bytearray(data)
+    central = b.find(b"PK\x01\x02")
+    if case == "zip-encrypted":
+        b[central + 8] |= 1  # general purpose flag, bit 0
+        return bytes(b)
+    struct.pack_into("<H", b, central + 10, 99 if case == "zip-method-99" else 8)
+    if case == "zip-deflate-garbage":
+        name_len, extra_len = struct.unpack_from("<HH", b, 26)
+        b[30 + name_len + extra_len] = 0x07  # a deflate block of the reserved type
+    return bytes(b)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["garbage", "meta-list", "no-param-order", "no-param-array", "spec-wrong-type",
+     "spec-missing-field", "spec-bad-value", "param-wrong-length", "zip-encrypted",
+     "zip-method-99", "zip-deflate-garbage"],
+)
+def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
+    """A model file that save_model did not write exits 5 naming the file."""
+    td = synthetic_task("clip", seed=2, n_train=40, n_val=10, n_test=10)
+    save_model(fit(td.train, FeatureSpec(dims=16), Hyperparams(epochs=1)), tmp_path / "good.npz")
+    meta, arrays = _model_meta(tmp_path / "good.npz")
+    if case == "meta-list":
+        meta = [meta]
+    elif case == "no-param-order":
+        del meta["param_order"]
+    elif case == "no-param-array":
+        del arrays["param:out_bias"]
+    elif case == "spec-wrong-type":
+        meta["spec"]["lowercase"] = "yes"
+    elif case == "spec-missing-field":
+        del meta["spec"]["ngram_max"]
+    elif case == "spec-bad-value":
+        meta["spec"]["dims"] = 17
+    elif case == "param-wrong-length":
+        arrays["param:out_bias"] = np.zeros(5)
+    path = tmp_path / "bad.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+    if case == "garbage":
+        path.write_text("garbage")
+    elif case.startswith("zip-"):
+        path.write_bytes(_patch_first_member(path.read_bytes(), case))
+    code = run_cli("prune", "--model", path, "--out", tmp_path / "p.npz", "--fraction", 0.1)
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "p.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["variance", "--dims", 1000], "--dims"),
+        (["variance", "--model", "mlp", "--hidden", -1], "--hidden"),
+        (["variance", "--model", "mlp", "--hidden", 0], "--hidden"),
+        (["variance", "--prune", 1.5], "--prune"),
+        (["prune", "--fraction", 1.5], "--fraction"),
+    ],
+)
+def test_bad_flag_value_is_validation_error(toy_workspace, tmp_path, capsys, argv, flag):
+    """A flag value its spec rejects exits 3 naming the flag, before any input is read."""
+    common = {
+        "variance": ["--task", "topics2", "--data", toy_workspace / "data", "--out", tmp_path,
+                     "--n", 2, "--m", 1],
+        "prune": ["--model", tmp_path / "absent.npz", "--out", tmp_path / "p.npz"],
+    }[argv[0]]
+    assert run_cli(*argv, *common) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["run", "report"])
+def test_negative_top_is_usage_error(toy_workspace, tmp_path, verb):
+    argv = {
+        "run": ["--config", toy_workspace / "configs.json", "--data", toy_workspace / "data",
+                "--out", tmp_path],
+        "report": ["--results", tmp_path / "results.csv"],
+    }[verb]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(verb, *argv, "--top", -3)
+    assert exc.value.code == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
