@@ -123,6 +123,14 @@ def load_task_dir(task_dir: str | Path) -> TaskData:
         where = f"{meta_path}: label_map[{label!r}]"
         if not 0 <= require(index, "int", where, DataError) < num_classes:
             raise DataError(f"{where} must be in [0, {num_classes}), got {index}")
+    # The indices are in range, so a shortfall is a class no label reaches;
+    # every fit would still train its output columns.
+    named = len(set(label_map.values()))
+    if named != num_classes:
+        raise DataError(
+            f"{meta_path}: label_map names {named} of the {num_classes} class indices; "
+            "every class needs a label"
+        )
     if metric not in METRIC_NAMES:
         raise DataError(f"{meta_path}: metric must be one of {METRIC_NAMES}, got {metric!r}")
 

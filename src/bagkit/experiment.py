@@ -293,7 +293,8 @@ def _member_hyper(
 def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | None]]:
     """The full-data seed and, per member, its bootstrap sample seed or None.
 
-    Full-data members share one seed, so identical members are one model.
+    Full-data members share one seed, so identical members train to the same
+    model (each of them is still trained).
     """
     task_seed = _task_seed(config.base_seed, task)
     sample_seeds = [

@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import Dataset, Example
 from .errors import BagkitError, DataError, TrainingDiverged
@@ -164,40 +163,63 @@ def featurize(example: Example, spec: FeatureSpec) -> dict[int, int]:
     return counts
 
 
-def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> sp.csr_matrix:
-    """One CSR row of hashed counts per example, column indices sorted."""
-    indptr = [0]
-    indices: list[int] = []
+class _Rows:
+    """Hashed counts, one entry per nonzero count, row by row, columns ascending.
+
+    Storage-order rule: ``x @ w`` adds each ``data[k] * w[col[k]]`` into row
+    ``row[k]`` of a zero matrix in storage order k, so that order alone fixes
+    every float of a fit. ``.T`` swaps ``row`` and ``col`` and moves no entry, so
+    ``x.T @ d`` keeps the order; ``x[rows]`` keeps each row's entries in order.
+    """
+
+    def __init__(self, data: np.ndarray, row: np.ndarray, col: np.ndarray, shape: tuple[int, int]):
+        self.data, self.row, self.col, self.shape = data, row, col, shape
+
+    @property
+    def T(self) -> _Rows:
+        return _Rows(self.data, self.col, self.row, self.shape[::-1])
+
+    def __getitem__(self, rows: np.ndarray) -> _Rows:
+        # Needs ``row`` sorted: a gather is only taken before any transpose.
+        starts = np.searchsorted(self.row, rows, "left")
+        counts = np.searchsorted(self.row, rows, "right") - starts
+        take = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        new_row = np.repeat(np.arange(len(rows)), counts)
+        return _Rows(self.data[take], new_row, self.col[take], (len(rows), self.shape[1]))
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.shape[0], w.shape[1]))
+        np.add.at(out, self.row, self.data[:, None] * w[self.col])
+        return out
+
+
+def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
+    """One row of hashed counts per example, column indices sorted."""
     data: list[float] = []
+    col: list[int] = []
+    lengths: list[int] = []
     for ex in examples:
-        row = featurize(ex, spec)
-        for idx in sorted(row):
-            indices.append(idx)
-            data.append(float(row[idx]))
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, spec.dims),
-    )
+        counts = featurize(ex, spec)
+        for idx in sorted(counts):
+            col.append(idx)
+            data.append(float(counts[idx]))
+        lengths.append(len(counts))
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    return _Rows(np.array(data), row, np.array(col, dtype=np.int64), (len(lengths), spec.dims))
 
 
 def _init_params(
     spec: FeatureSpec, hyper: Hyperparams, num_classes: int, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
+    """Weights drawn with std 1/sqrt(fan_in), biases zero, in layer order."""
     params: dict[str, np.ndarray] = {}
-    if hyper.hidden_size > 0:
-        params["hidden_weight"] = rng.normal(
-            0.0, 1.0 / np.sqrt(spec.dims), size=spec.dims * hyper.hidden_size
-        )
-        params["hidden_bias"] = np.zeros(hyper.hidden_size)
-        params["out_weight"] = rng.normal(
-            0.0, 1.0 / np.sqrt(hyper.hidden_size), size=hyper.hidden_size * num_classes
-        )
-    else:
-        params["out_weight"] = rng.normal(
-            0.0, 1.0 / np.sqrt(spec.dims), size=spec.dims * num_classes
-        )
-    params["out_bias"] = np.zeros(num_classes)
+    fan_in = spec.dims
+    for name, size in _expected_shapes(spec, hyper.hidden_size, num_classes).items():
+        if name.endswith("weight"):
+            params[name] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=size)
+        else:
+            params[name] = np.zeros(size)
+            fan_in = size  # a layer's bias is as long as the next layer's input
     return params
 
 
@@ -208,24 +230,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    params: dict[str, np.ndarray], x: sp.csr_matrix, num_classes: int, hidden_size: int
+    params: dict[str, np.ndarray], x: _Rows, num_classes: int, hidden_size: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Hidden activations (None for logistic regression) and output logits."""
-    dims = x.shape[1]
+    hidden = None
     if hidden_size > 0:
-        w_h = params["hidden_weight"].reshape(dims, hidden_size)
+        w_h = params["hidden_weight"].reshape(x.shape[1], hidden_size)
         hidden = np.tanh(x @ w_h + params["hidden_bias"])
-        w_o = params["out_weight"].reshape(hidden_size, num_classes)
-        return hidden, hidden @ w_o + params["out_bias"]
-    w_o = params["out_weight"].reshape(dims, num_classes)
-    return None, x @ w_o + params["out_bias"]
+    w_o = params["out_weight"].reshape(-1, num_classes)
+    return hidden, (x if hidden is None else hidden) @ w_o + params["out_bias"]
 
 
 # Overflow is detected via the finite-loss check, not warnings.
 @np.errstate(all="ignore")
 def _loss_and_grads(
     params: dict[str, np.ndarray],
-    x: sp.csr_matrix,
+    x: _Rows,
     labels: np.ndarray,
     num_classes: int,
     hidden_size: int,
@@ -256,17 +276,15 @@ def _loss_and_grads(
     d_logits /= batch
 
     grads: dict[str, np.ndarray] = {}
+    inputs = x if hidden is None else hidden
     w_o = params["out_weight"].reshape(-1, num_classes)
+    grads["out_weight"] = (inputs.T @ d_logits + l2 * w_o).ravel()
+    grads["out_bias"] = d_logits.sum(axis=0)
     if hidden is not None:
         w_h = params["hidden_weight"].reshape(dims, hidden_size)
-        grads["out_weight"] = (hidden.T @ d_logits + l2 * w_o).ravel()
-        grads["out_bias"] = d_logits.sum(axis=0)
         d_hidden = (d_logits @ w_o.T) * (1.0 - hidden * hidden)
         grads["hidden_weight"] = (x.T @ d_hidden + l2 * w_h).ravel()
         grads["hidden_bias"] = d_hidden.sum(axis=0)
-    else:
-        grads["out_weight"] = (x.T @ d_logits + l2 * w_o).ravel()
-        grads["out_bias"] = d_logits.sum(axis=0)
     return loss, grads
 
 
@@ -329,7 +347,7 @@ def predict_proba_dataset(model: Model, dataset: Dataset) -> np.ndarray:
     return _forward_proba(model, _design_matrix(dataset, model.spec))
 
 
-def _forward_proba(model: Model, x: sp.csr_matrix) -> np.ndarray:
+def _forward_proba(model: Model, x: _Rows) -> np.ndarray:
     _, logits = _forward(model.params, x, model.num_classes, model.hyper.hidden_size)
     return _softmax(logits)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError
+from .ioutil import check_object, parse_json
 
 __all__ = [
     "BootstrapSample",
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 _MANIFEST_FORMAT = "bagkit-plan-v1"
+_MANIFEST_FIELDS = {
+    "format": "str", "n": "int", "m": "int", "dataset_size": "int", "base_seed": "int",
+    "first_level_seeds": "list", "second_level_seeds": "list",
+}
 
 
 def derive_seed(base_seed: int, level: int, i: int, j: int = 0) -> int:
@@ -173,18 +178,14 @@ def plan_to_manifest(plan: BootstrapPlan) -> str:
 
 def plan_from_manifest(text: str) -> BootstrapPlan:
     """Rebuild a plan from its manifest and verify the recorded seeds match."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed plan manifest: {exc}") from exc
-    if doc.get("format") != _MANIFEST_FORMAT:
+    doc = parse_json(text, "plan manifest", DataError)
+    if isinstance(doc, dict) and doc.get("format") != _MANIFEST_FORMAT:
         raise DataError(f"unrecognized plan manifest format: {doc.get('format')!r}")
-
+    check_object(doc, _MANIFEST_FIELDS, "plan manifest", DataError)
     plan = make_plan(doc["n"], doc["m"], doc["dataset_size"], doc["base_seed"])
-    recorded_first = list(doc["first_level_seeds"])
-    recorded_second = [list(g) for g in doc["second_level_seeds"]]
-    if recorded_first != [s.seed for s in plan.first_level] or recorded_second != [
-        [s.seed for s in g] for g in plan.second_level
-    ]:
+    # Plain list equality: a group or seed of any other JSON kind just differs.
+    recorded = (doc["first_level_seeds"], doc["second_level_seeds"])
+    derived = ([s.seed for s in plan.first_level], [[s.seed for s in g] for g in plan.second_level])
+    if recorded != derived:
         raise DataError("plan manifest seeds do not match the derivation scheme")
     return plan

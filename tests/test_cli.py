@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bagkit
 from bagkit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -370,12 +375,13 @@ def _write_task_dir(data_dir, **meta):
         (None, None, {"metric": "f1"}, EXIT_IO, "task.json: metric"),
         (None, None, {"num_classes": 1}, EXIT_IO, "task.json: num_classes"),
         (None, None, {"label_map": {"no": 0, "yes": 5}}, EXIT_IO, "task.json: label_map['yes']"),
+        (None, None, {"num_classes": 3}, EXIT_IO, "task.json"),
     ],
     ids=[
         "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
         "ngram-float", "epochs-float", "epochs-zero", "seed-float", "seed-bool", "classes-string",
         "classes-float", "label-index-string", "label-map-list", "metric-unknown", "classes-one",
-        "label-index-range",
+        "label-index-range", "classes-unreachable",
     ],
 )
 def test_wrong_json_types_are_located_errors(
@@ -508,3 +514,15 @@ def test_negative_top_is_usage_error(toy_workspace, tmp_path, verb):
         run_cli(verb, *argv, "--top", -3)
     assert exc.value.code == EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    """bagkit needs numpy alone: a fresh `import bagkit.cli` loads no scipy module."""
+    code = (
+        "import bagkit.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bagkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -205,6 +205,67 @@ class TestParamCount:
         assert param_count(prune_magnitude(model, PruneSpec(0.7))) == param_count(model)
 
 
+def _storage_order_products(rows, w):
+    """Reference x @ w: per row, 0.0 plus each count * w[col], columns ascending."""
+    out = []
+    for counts in rows:
+        acc = [0.0] * w.shape[1]
+        for col in sorted(counts):
+            acc = [a + counts[col] * w[col, c] for c, a in enumerate(acc)]
+        out.append(acc)
+    return np.array(out).reshape(len(rows), w.shape[1])
+
+
+def _storage_order_transposed(rows, d, dims):
+    """Reference x.T @ d: per column, 0.0 plus each count * d[row], rows ascending."""
+    out = [[0.0] * d.shape[1] for _ in range(dims)]
+    for r, counts in enumerate(rows):
+        for col in sorted(counts):
+            out[col] = [a + counts[col] * d[r, c] for c, a in enumerate(out[col])]
+    return np.array(out)
+
+
+class TestDesignMatrix:
+    """The sparse kernel's sums are exact left-to-right sums in storage order."""
+
+    SPEC = FeatureSpec(dims=8, ngram_max=2)  # few columns, so counts collide
+
+    def examples(self):
+        texts = [
+            ("  ", None),  # whitespace only: valid input, an empty row
+            ("the cat sat on the mat", "a dog ran"),
+            (" \t ", None),
+            ("red red apple", "green pear green"),
+            ("fast car", None),
+            ("   ", None),
+        ]
+        return [Example(id=f"e{i}", text_a=a, text_b=b, label=0) for i, (a, b) in enumerate(texts)]
+
+    def test_products_equal_storage_order_sums(self):
+        exs = self.examples()
+        rows = [featurize(ex, self.SPEC) for ex in exs]
+        assert not rows[0] and not rows[2] and not rows[-1] and max(rows[3].values()) > 1
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(self.SPEC.dims, 3))
+        d = rng.normal(size=(len(exs), 3))
+        x = _design_matrix(exs, self.SPEC)
+        assert x.shape == (len(exs), self.SPEC.dims)
+        assert np.array_equal(x @ w, _storage_order_products(rows, w))
+        assert np.array_equal(x.T @ d, _storage_order_transposed(rows, d, self.SPEC.dims))
+
+    def test_gather_keeps_rows_and_order(self):
+        exs = self.examples()
+        pick = np.array([5, 1, 1, 0, 3, 2])  # empty first, middle and last; one repeat
+        rows = [featurize(exs[i], self.SPEC) for i in pick]
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(self.SPEC.dims, 2))
+        d = rng.normal(size=(len(pick), 2))
+        batch = _design_matrix(exs, self.SPEC)[pick]
+        assert batch.shape == (len(pick), self.SPEC.dims)
+        assert np.array_equal(batch @ w, _storage_order_products(rows, w))
+        assert np.array_equal(batch.T @ d, _storage_order_transposed(rows, d, self.SPEC.dims))
+
+
 class TestGradients:
     def _finite_diff(self, params, x, y, num_classes, hidden, l2, h=1e-6):
         out = {}

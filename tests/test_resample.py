@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +147,22 @@ class TestManifest:
     def test_malformed_text(self):
         with pytest.raises(DataError):
             plan_from_manifest("{not json")
+
+    @pytest.mark.parametrize(
+        "change, located",
+        [
+            (lambda doc: [doc], "must be an object"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "n"}, "missing fields ['n']"),
+            (lambda doc: {**doc, "n": "2"}, "plan manifest.n must be an integer"),
+            (lambda doc: {**doc, "first_level_seeds": None},
+             "plan manifest.first_level_seeds must be a list"),
+        ],
+        ids=["list", "n-missing", "n-string", "seeds-null"],
+    )
+    def test_wrong_shape_is_located_data_error(self, change, located):
+        doc = json.loads(plan_to_manifest(make_plan(2, 2, 10, base_seed=1)))
+        with pytest.raises(DataError, match=re.escape(located)):
+            plan_from_manifest(json.dumps(change(doc)))
 
     def test_wrong_format_tag(self):
         with pytest.raises(DataError, match="format"):
