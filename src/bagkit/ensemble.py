@@ -65,11 +65,17 @@ def predict(ensemble: Ensemble, example: Example) -> tuple[int, np.ndarray]:
 
 def predict_dataset(ensemble: Ensemble, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized vote over a dataset: (winners, combined probability matrix)."""
-    member_probs = np.stack(
-        [predict_proba_dataset(member, dataset) for member in ensemble.members]
+    return _vote_rows(
+        ensemble, [predict_proba_dataset(member, dataset) for member in ensemble.members]
     )
-    winners = np.empty(len(dataset), dtype=np.int64)
-    combined = np.empty((len(dataset), ensemble.num_classes))
-    for row in range(len(dataset)):
-        winners[row], combined[row] = soft_vote(member_probs[:, row, :])
+
+
+def _vote_rows(ensemble: Ensemble, member_probs) -> tuple[np.ndarray, np.ndarray]:
+    """Soft vote per row over each member's (rows x classes) probability matrix."""
+    stacked = np.stack(member_probs)
+    rows = stacked.shape[1]
+    winners = np.empty(rows, dtype=np.int64)
+    combined = np.empty((rows, ensemble.num_classes))
+    for row in range(rows):
+        winners[row], combined[row] = soft_vote(stacked[:, row, :])
     return winners, combined

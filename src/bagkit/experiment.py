@@ -2,12 +2,18 @@
 
 A configuration declares an ensemble shape (one of six types), its members,
 the tasks to evaluate on, and a base seed. Running it per task means: pick
-hyperparameters on the un-resampled training set once per distinct member
-architecture, train every member (bagged members on bootstrap samples derived
-from the base seed, the rest on the full training set), apply per-member
-magnitude pruning, then soft-vote on the test set. All randomness is derived
-up front from (base_seed, task, member index), so results are identical
-across runs and execution schedules.
+hyperparameters on the un-resampled training set, train every member (bagged
+members on bootstrap samples derived from the base seed, the rest on the full
+training set), apply per-member magnitude pruning, then soft-vote on the test
+set. All randomness is derived up front from (base_seed, task, member index),
+so results are identical across runs and execution schedules.
+
+Work that depends on the task alone is done once per TaskData and shared by
+every configuration run on it: each split's design matrix is built once per
+feature space, and the grid search runs once per (model kind, feature
+space). A bagged member trains on the rows of the training matrix that its
+bootstrap sample draws, so no example is featurized twice in one feature
+space.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
@@ -18,18 +24,27 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import Dataset
-from .ensemble import Ensemble, predict_dataset
+from .ensemble import Ensemble, _vote_rows
 from .errors import BagkitError, ConfigError, TrainingDiverged
 from .ioutil import atomic_write_text
 from .metrics import METRIC_NAMES, evaluate, mean_std
-from .predictor import FeatureSpec, Hyperparams, Model, fit, param_count, predict_proba_dataset
+from .predictor import (
+    FeatureSpec,
+    Hyperparams,
+    Model,
+    _design_matrix,
+    _fit_rows,
+    _forward_proba,
+    _Rows,
+    param_count,
+)
 from .prune import PruneSpec, prune_magnitude
-from .resample import _task_seed, bootstrap, derive_seed, make_plan, materialize
+from .resample import BootstrapSample, _task_seed, bootstrap, derive_seed, make_plan
 
 __all__ = [
     "MODEL_KINDS",
@@ -192,16 +207,46 @@ def _validate_structure(config: EnsembleConfig) -> None:
 
 @dataclass(frozen=True)
 class TaskData:
-    """A task's datasets plus its headline metric (accuracy or macro_f1)."""
+    """A task's datasets plus its headline metric (accuracy or macro_f1).
+
+    Also holds what a batch derives from the task alone and reuses across
+    members and configurations: one design matrix per (split, feature space)
+    and one grid-search winner per (model kind, feature space). The cache
+    lives exactly as long as the TaskData.
+    """
 
     train: Dataset
     val: Dataset
     test: Dataset
     metric: str = "accuracy"
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.metric not in METRIC_NAMES:
             raise ConfigError(f"unknown task metric {self.metric!r}")
+
+    def _matrix(self, split: str, spec: FeatureSpec) -> _Rows:
+        """The design matrix of one split ("train", "val" or "test") in one feature space."""
+        key = ("rows", split, spec)
+        if key not in self._cache:
+            self._cache[key] = _design_matrix(getattr(self, split), spec)
+        return self._cache[key]
+
+    def _searched(self, kind: str, spec: FeatureSpec) -> Hyperparams:
+        """The grid-search winner for a model kind; a search that diverges is not kept."""
+        key = ("search", kind, spec)
+        if key not in self._cache:
+            self._cache[key] = _search(
+                DEFAULT_SEARCH_SPACE[kind],
+                self._matrix("train", spec),
+                self.train.labels(),
+                self._matrix("val", spec),
+                self.val.labels(),
+                self.train.num_classes,
+                self.metric,
+                spec,
+            )
+        return self._cache[key]
 
 
 @dataclass(frozen=True)
@@ -232,8 +277,8 @@ class VarianceReport:
     ensemble_std: float
 
 
-def _argmax_predictions(model: Model, dataset: Dataset) -> np.ndarray:
-    return np.argmax(predict_proba_dataset(model, dataset), axis=1)
+def _argmax_predictions(model: Model, x: _Rows) -> np.ndarray:
+    return np.argmax(_forward_proba(model, x), axis=1)
 
 
 def grid_search(
@@ -248,46 +293,48 @@ def grid_search(
     Candidates are tried in order; exact ties keep the earliest. A candidate
     whose training diverges is skipped.
     """
+    return _search(
+        space,
+        _design_matrix(train, feature_spec),
+        train.labels(),
+        _design_matrix(val, feature_spec),
+        val.labels(),
+        train.num_classes,
+        metric,
+        feature_spec,
+    )
+
+
+def _search(
+    space,
+    x_train: _Rows,
+    y_train: np.ndarray,
+    x_val: _Rows,
+    y_val: np.ndarray,
+    num_classes: int,
+    metric: str,
+    feature_spec: FeatureSpec,
+) -> Hyperparams:
+    """The grid-search loop over design matrices and labels already built."""
     space = tuple(space)
     if not space:
         raise ConfigError("grid_search requires a non-empty hyperparameter space")
     if metric not in METRIC_NAMES:
         raise ConfigError(f"unknown metric {metric!r}")
-
     best: Hyperparams | None = None
     best_score = -np.inf
     for hyper in space:
         try:
-            model = fit(train, feature_spec, hyper)
+            model = _fit_rows(x_train, y_train, num_classes, feature_spec, hyper)
         except TrainingDiverged:
             continue
-        preds = _argmax_predictions(model, val)
-        score = evaluate(preds, val.labels(), val.num_classes).metric(metric)
+        preds = _argmax_predictions(model, x_val)
+        score = evaluate(preds, y_val, num_classes).metric(metric)
         if score > best_score:
             best, best_score = hyper, score
     if best is None:
         raise TrainingDiverged("every candidate in the hyperparameter space diverged")
     return best
-
-
-def _member_hyper(
-    member: MemberSpec,
-    chosen: dict[tuple, Hyperparams],
-    task_data: TaskData,
-) -> Hyperparams:
-    """Hyperparameters for a member: its override, or the searched winner."""
-    if member.hyper_override is not None:
-        return member.hyper_override
-    key = (member.model_kind, member.feature_spec)
-    if key not in chosen:
-        chosen[key] = grid_search(
-            DEFAULT_SEARCH_SPACE[member.model_kind],
-            task_data.train,
-            task_data.val,
-            task_data.metric,
-            member.feature_spec,
-        )
-    return chosen[key]
 
 
 def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | None]]:
@@ -304,31 +351,49 @@ def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | No
     return derive_seed(task_seed, 0, 0), sample_seeds
 
 
-def _fit_member(train_ds: Dataset, member: MemberSpec, hyper: Hyperparams) -> Model:
-    """Fit one member, then magnitude-prune it if the member asks for it."""
-    model = fit(train_ds, member.feature_spec, hyper)
+def _fit_member(
+    x: _Rows, y: np.ndarray, num_classes: int, member: MemberSpec, hyper: Hyperparams
+) -> Model:
+    """Fit one member on design-matrix rows, then magnitude-prune it if asked."""
+    model = _fit_rows(x, y, num_classes, member.feature_spec, hyper)
     if member.prune_fraction > 0:
         model = prune_magnitude(model, PruneSpec(member.prune_fraction))
     return model
+
+
+def _gather(x: _Rows, y: np.ndarray, sample: BootstrapSample) -> tuple[_Rows, np.ndarray]:
+    """The rows and labels a bootstrap sample draws, in the sample's order."""
+    rows = np.array(sample.indices)
+    return x[rows], y[rows]
+
+
+def _test_vote(models: list[Model], task_data: TaskData) -> np.ndarray:
+    """Soft-vote winners of the models on the task's test split."""
+    voters = Ensemble(members=tuple(models), num_classes=task_data.test.num_classes)
+    member_probs = [_forward_proba(m, task_data._matrix("test", m.spec)) for m in voters.members]
+    winners, _ = _vote_rows(voters, member_probs)
+    return winners
 
 
 def _train_members(
     config: EnsembleConfig, task: str, task_data: TaskData
 ) -> list[Model]:
     full_data_seed, sample_seeds = _member_seeds(config, task)
-    chosen: dict[tuple, Hyperparams] = {}
+    train = task_data.train
+    y_train = train.labels()
     models: list[Model] = []
     for k, (member, sample_seed) in enumerate(zip(config.members, sample_seeds)):
-        hyper = _member_hyper(member, chosen, task_data)
+        hyper = member.hyper_override
+        if hyper is None:
+            hyper = task_data._searched(member.model_kind, member.feature_spec)
+        x, y = task_data._matrix("train", member.feature_spec), y_train
         if sample_seed is None:
-            train_ds = task_data.train
             hyper = replace(hyper, seed=full_data_seed)
         else:
-            sample = bootstrap(len(task_data.train), sample_seed)
-            train_ds = materialize(task_data.train, sample)
+            x, y = _gather(x, y, bootstrap(len(train), sample_seed))
             hyper = replace(hyper, seed=sample_seed)
         try:
-            models.append(_fit_member(train_ds, member, hyper))
+            models.append(_fit_member(x, y, train.num_classes, member, hyper))
         except TrainingDiverged as exc:
             raise TrainingDiverged(
                 f"config {config.config_id!r}, task {task!r}, member {k}: {exc}"
@@ -348,8 +413,7 @@ def run_config(config: EnsembleConfig, data: dict[str, TaskData]) -> ConfigResul
     for task in config.tasks:
         task_data = data[task]
         models = _train_members(config, task, task_data)
-        voters = Ensemble(members=tuple(models), num_classes=task_data.test.num_classes)
-        winners, _ = predict_dataset(voters, task_data.test)
+        winners = _test_vote(models, task_data)
         result = evaluate(winners, task_data.test.labels(), task_data.test.num_classes)
         task_accuracy[task] = result.accuracy
         if task_data.metric == "macro_f1":
@@ -391,20 +455,30 @@ def variance_analysis(
     test_labels = task_data.test.labels()
     num_classes = task_data.test.num_classes
 
+    x_train = task_data._matrix("train", member.feature_spec)
+    y_train = task_data.train.labels()
+    x_test = task_data._matrix("test", member.feature_spec)
+    train_classes = task_data.train.num_classes
+
     singles: list[float] = []
     ensembles: list[float] = []
     for first, second in zip(plan.first_level, plan.second_level):
-        first_ds = materialize(task_data.train, first)
-        single = _fit_member(first_ds, member, replace(hyper_base, seed=first.seed))
-        preds = _argmax_predictions(single, task_data.test)
+        x_first, y_first = _gather(x_train, y_train, first)
+        single = _fit_member(
+            x_first, y_first, train_classes, member, replace(hyper_base, seed=first.seed)
+        )
+        preds = _argmax_predictions(single, x_test)
         singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
 
+        # A second-level sample addresses positions of the first-level sample.
         group = [
-            _fit_member(materialize(first_ds, s), member, replace(hyper_base, seed=s.seed))
+            _fit_member(
+                *_gather(x_first, y_first, s), train_classes, member,
+                replace(hyper_base, seed=s.seed),
+            )
             for s in second
         ]
-        voters = Ensemble(members=tuple(group), num_classes=num_classes)
-        winners, _ = predict_dataset(voters, task_data.test)
+        winners = _test_vote(group, task_data)
         ensembles.append(
             evaluate(winners, test_labels, num_classes).metric(task_data.metric)
         )

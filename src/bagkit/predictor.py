@@ -24,6 +24,7 @@ import hashlib
 import json
 import zipfile
 import zlib
+from array import array
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -150,6 +151,11 @@ def _hash_index(key: str, dims: int) -> int:
 
 def featurize(example: Example, spec: FeatureSpec) -> dict[int, int]:
     """Map an example to sparse hashed n-gram counts (feature index -> count)."""
+    return _ngram_counts(example, spec, {})
+
+
+def _ngram_counts(example: Example, spec: FeatureSpec, memo: dict[str, int]) -> dict[int, int]:
+    """featurize, with ``memo`` mapping n-gram keys already hashed in this spec to columns."""
     counts: dict[int, int] = {}
     for salt, text in (("a", example.text_a), ("b", example.text_b)):
         if not text:
@@ -158,7 +164,9 @@ def featurize(example: Example, spec: FeatureSpec) -> dict[int, int]:
         for n in range(1, spec.ngram_max + 1):
             for i in range(len(toks) - n + 1):
                 key = salt + _FIELD_SEP + " ".join(toks[i : i + n])
-                idx = _hash_index(key, spec.dims)
+                idx = memo.get(key)
+                if idx is None:
+                    idx = memo[key] = _hash_index(key, spec.dims)
                 counts[idx] = counts.get(idx, 0) + 1
     return counts
 
@@ -179,8 +187,17 @@ class _Rows:
     def T(self) -> _Rows:
         return _Rows(self.data, self.col, self.row, self.shape[::-1])
 
-    def __getitem__(self, rows: np.ndarray) -> _Rows:
+    def __getitem__(self, rows: np.ndarray | slice) -> _Rows:
         # Needs ``row`` sorted: a gather is only taken before any transpose.
+        if isinstance(rows, slice):
+            # A contiguous range of rows is a view of a contiguous range of entries.
+            start, stop, step = rows.indices(self.shape[0])
+            if step != 1:
+                raise ValueError("a row slice must have step 1")
+            stop = max(start, stop)
+            lo, hi = np.searchsorted(self.row, (start, stop))
+            return _Rows(self.data[lo:hi], self.row[lo:hi] - start, self.col[lo:hi],
+                         (stop - start, self.shape[1]))
         starts = np.searchsorted(self.row, rows, "left")
         counts = np.searchsorted(self.row, rows, "right") - starts
         take = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
@@ -194,18 +211,26 @@ class _Rows:
 
 
 def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
-    """One row of hashed counts per example, column indices sorted."""
-    data: list[float] = []
-    col: list[int] = []
-    lengths: list[int] = []
+    """One row of hashed counts per example, column indices sorted.
+
+    Each distinct n-gram key is hashed once per build (a memo that lives only
+    for this call). Entries go into typed buffers, not lists of boxed numbers.
+    """
+    memo: dict[str, int] = {}
+    data, col, lengths = array("d"), array("q"), array("q")
     for ex in examples:
-        counts = featurize(ex, spec)
+        counts = _ngram_counts(ex, spec, memo)
         for idx in sorted(counts):
             col.append(idx)
-            data.append(float(counts[idx]))
+            data.append(counts[idx])
         lengths.append(len(counts))
-    row = np.repeat(np.arange(len(lengths)), lengths)
-    return _Rows(np.array(data), row, np.array(col, dtype=np.int64), (len(lengths), spec.dims))
+    row = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int64))
+    return _Rows(
+        np.frombuffer(data, dtype=np.float64),
+        row,
+        np.frombuffer(col, dtype=np.int64),
+        (len(lengths), spec.dims),
+    )
 
 
 def _init_params(
@@ -302,26 +327,30 @@ def fit(train: Dataset, spec: FeatureSpec, hyper: Hyperparams) -> Model:
     reshuffled each epoch from the stream of ``hyper.seed``. Raises
     TrainingDiverged if the loss ever goes non-finite.
     """
-    if len(train) == 0:
-        raise DataError("cannot fit on an empty dataset")
-    x_all = _design_matrix(train, spec)
-    y_all = train.labels()
-    n = len(train)
+    return _fit_rows(_design_matrix(train, spec), train.labels(), train.num_classes, spec, hyper)
 
+
+def _fit_rows(
+    x: _Rows, y: np.ndarray, num_classes: int, spec: FeatureSpec, hyper: Hyperparams
+) -> Model:
+    """The training loop behind fit, over design-matrix rows and their labels.
+
+    Each epoch gathers the permuted rows once and takes every batch as a
+    contiguous slice: the same rows in the same order as gathering each batch.
+    """
+    n = x.shape[0]
+    if n == 0:
+        raise DataError("cannot fit on an empty dataset")
     rng = np.random.default_rng(hyper.seed)
-    params = _init_params(spec, hyper, train.num_classes, rng)
+    params = _init_params(spec, hyper, num_classes, rng)
 
     for epoch in range(hyper.epochs):
         perm = rng.permutation(n)
+        x_perm, y_perm = x[perm], y[perm]
         for start in range(0, n, _BATCH_SIZE):
-            batch_idx = perm[start : start + _BATCH_SIZE]
+            batch = slice(start, start + _BATCH_SIZE)
             loss, grads = _loss_and_grads(
-                params,
-                x_all[batch_idx],
-                y_all[batch_idx],
-                train.num_classes,
-                hyper.hidden_size,
-                hyper.l2,
+                params, x_perm[batch], y_perm[batch], num_classes, hyper.hidden_size, hyper.l2
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -334,7 +363,7 @@ def fit(train: Dataset, spec: FeatureSpec, hyper: Hyperparams) -> Model:
     for name, arr in params.items():
         if not np.all(np.isfinite(arr)):
             raise TrainingDiverged(f"non-finite parameters in {name!r} after training")
-    return Model(spec=spec, hyper=hyper, num_classes=train.num_classes, params=params)
+    return Model(spec=spec, hyper=hyper, num_classes=num_classes, params=params)
 
 
 def predict_proba(model: Model, example: Example) -> np.ndarray:

@@ -1,14 +1,17 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bagkit import experiment
 from bagkit.ensemble import Ensemble, predict_dataset
 from bagkit.errors import BagkitError, ConfigError, TrainingDiverged
 from bagkit.experiment import (
     DEFAULT_SEARCH_SPACE,
     EnsembleConfig,
     MemberSpec,
+    TaskData,
     equivalence_group,
     grid_search,
     run_config,
@@ -19,7 +22,15 @@ from bagkit.experiment import (
     ConfigResult,
 )
 from bagkit.metrics import accuracy
-from bagkit.predictor import FeatureSpec, Hyperparams, fit, param_count, predict_proba_dataset
+from bagkit.predictor import (
+    FeatureSpec,
+    Hyperparams,
+    _design_matrix,
+    _fit_rows,
+    fit,
+    param_count,
+    predict_proba_dataset,
+)
 from bagkit.prune import PruneSpec, prune_magnitude
 from bagkit.resample import _task_seed, bootstrap, derive_seed, materialize
 from bagkit.toy import synthetic_task
@@ -211,6 +222,91 @@ class TestRunConfig:
         acc_single = run_config(single, {"acc2": task_acc}).task_accuracy["acc2"]
         acc_doubled = run_config(doubled, {"acc2": task_acc}).task_accuracy["acc2"]
         assert acc_single == acc_doubled
+
+
+class TestRowGatherTraining:
+    """Training on gathered design-matrix rows equals fit on materialized datasets."""
+
+    HYPERS = [Hyperparams(epochs=3, seed=5), Hyperparams(epochs=3, hidden_size=4, seed=6)]
+
+    @staticmethod
+    def assert_same_params(a, b):
+        assert list(a.params) == list(b.params)
+        for name in a.params:
+            assert np.array_equal(a.params[name], b.params[name]), name
+
+    @pytest.mark.parametrize("hyper", HYPERS, ids=["logreg", "mlp"])
+    def test_first_level_sample(self, task_acc, hyper):
+        train = task_acc.train
+        assert len(train) % 32 != 0  # the last batch of an epoch is a partial slice
+        sample = bootstrap(len(train), 17)
+        assert len(set(sample.indices)) < len(train)  # rows drawn more than once
+        rows = np.array(sample.indices)
+        x, y = _design_matrix(train, SPEC), train.labels()
+        gathered = _fit_rows(x[rows], y[rows], train.num_classes, SPEC, hyper)
+        self.assert_same_params(gathered, fit(materialize(train, sample), SPEC, hyper))
+
+    @pytest.mark.parametrize("hyper", HYPERS, ids=["logreg", "mlp"])
+    def test_composed_second_level_sample(self, task_acc, hyper):
+        train = task_acc.train
+        first, second = bootstrap(len(train), 21), bootstrap(len(train), 22)
+        x, y = _design_matrix(train, SPEC), train.labels()
+        rows = np.array(first.indices)
+        first_rows, first_y = x[rows], y[rows]
+        rows = np.array(second.indices)
+        gathered = _fit_rows(first_rows[rows], first_y[rows], train.num_classes, SPEC, hyper)
+        replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
+        self.assert_same_params(gathered, replayed)
+
+
+class TestTaskCache:
+    """A TaskData builds each design matrix once and runs each grid search once."""
+
+    @staticmethod
+    def fresh(task):
+        return TaskData(train=task.train, val=task.val, test=task.test, metric=task.metric)
+
+    def counting(self, monkeypatch):
+        builds, searches = Counter(), Counter()
+        real_build, real_search = experiment._design_matrix, experiment._search
+
+        def build(examples, spec):
+            builds[(id(examples), spec)] += 1
+            return real_build(examples, spec)
+
+        def search(*args):
+            searches[args[-1]] += 1  # keyed by the feature space, the last argument
+            return real_search(*args)
+
+        monkeypatch.setattr(experiment, "_design_matrix", build)
+        monkeypatch.setattr(experiment, "_search", search)
+        return builds, searches
+
+    def test_shared_across_configurations(self, task_acc, monkeypatch):
+        configs = [
+            EnsembleConfig("one", "single", (member(),), ("acc2",), base_seed=5),
+            EnsembleConfig("bag", "homo", (member(bagged=True), member(bagged=True)),
+                           ("acc2",), base_seed=6),
+        ]
+        expected = [run_config(c, {"acc2": self.fresh(task_acc)}) for c in configs]
+        builds, searches = self.counting(monkeypatch)
+        shared = {"acc2": self.fresh(task_acc)}
+        assert [run_config(c, shared) for c in configs] == expected
+        splits = (task_acc.train, task_acc.val, task_acc.test)
+        assert builds == Counter({(id(ds), SPEC): 1 for ds in splits})
+        assert searches == Counter({SPEC: 1})
+
+    def test_diverged_search_is_not_kept(self, task_acc, monkeypatch):
+        monkeypatch.setitem(
+            experiment.DEFAULT_SEARCH_SPACE, "logreg", (Hyperparams(learning_rate=1e6, l2=1e-4),)
+        )
+        _, searches = self.counting(monkeypatch)
+        shared = {"acc2": self.fresh(task_acc)}
+        for config_id in ("first", "second"):
+            config = EnsembleConfig(config_id, "single", (member(),), ("acc2",), base_seed=5)
+            with pytest.raises(TrainingDiverged, match="every candidate"):
+                run_config(config, shared)
+        assert searches == Counter({SPEC: 2})
 
 
 class TestVarianceAnalysis:

@@ -130,6 +130,25 @@ class TestFit:
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    def test_batch_slices_equal_per_batch_gathers(self, hidden):
+        # Reference: the loop that gathers each 32-row batch from the full matrix.
+        td = synthetic_task("slices", seed=8, n_train=75, n_val=20, n_test=20)
+        spec, hyper = FeatureSpec(dims=256), Hyperparams(epochs=3, hidden_size=hidden, seed=4)
+        x, y = _design_matrix(td.train, spec), td.train.labels()
+        rng = np.random.default_rng(hyper.seed)
+        params = _init_params(spec, hyper, 2, rng)
+        for _ in range(hyper.epochs):
+            perm = rng.permutation(len(td.train))
+            for start in range(0, len(td.train), 32):
+                batch = perm[start : start + 32]
+                _, grads = _loss_and_grads(params, x[batch], y[batch], 2, hidden, hyper.l2)
+                for name, grad in grads.items():
+                    params[name] = params[name] - hyper.learning_rate * grad
+        model = fit(td.train, spec, hyper)
+        for name in params:
+            assert np.array_equal(model.params[name], params[name]), name
+
     def test_empty_dataset_rejected(self):
         empty = Dataset("none", (), 2)
         with pytest.raises(DataError):
@@ -264,6 +283,65 @@ class TestDesignMatrix:
         assert batch.shape == (len(pick), self.SPEC.dims)
         assert np.array_equal(batch @ w, _storage_order_products(rows, w))
         assert np.array_equal(batch.T @ d, _storage_order_transposed(rows, d, self.SPEC.dims))
+
+    def test_row_slice_is_the_gather_of_its_range(self):
+        x = _design_matrix(self.examples(), self.SPEC)
+        for lo, hi in ((0, 6), (1, 4), (2, 3), (5, 9), (4, 2)):
+            view, gathered = x[lo:hi], x[np.arange(lo, min(hi, 6))]
+            assert view.shape == gathered.shape
+            for name in ("data", "row", "col"):
+                assert np.array_equal(getattr(view, name), getattr(gathered, name)), name
+        for stepped in (slice(None, None, 2), slice(5, 0, -1)):
+            with pytest.raises(ValueError):
+                x[stepped]
+
+
+class TestKeyMemo:
+    """_design_matrix hashes each key once per build; no column may change."""
+
+    def examples(self):
+        texts = [
+            ("Red apple pie", "red apple pie"),  # shared n-grams: the field salt keeps them apart
+            ("  \t", None),  # whitespace only
+            ("the Cat sat on the mat", "a cat ran on the mat"),
+            ("Red apple pie", "red apple pie"),  # a repeated example
+            ("fast CAR fast car", None),
+        ]
+        return [Example(id=f"e{i}", text_a=a, text_b=b, label=0) for i, (a, b) in enumerate(texts)]
+
+    @staticmethod
+    def rebuild(examples, spec):
+        """Entries of the design matrix, rebuilt row by row from featurize alone."""
+        data, row, col = [], [], []
+        for r, ex in enumerate(examples):
+            counts = featurize(ex, spec)
+            for idx in sorted(counts):
+                data.append(float(counts[idx]))
+                row.append(r)
+                col.append(idx)
+        return data, row, col
+
+    def assert_matches_rebuild(self, examples, spec):
+        x = _design_matrix(examples, spec)
+        assert x.shape == (len(examples), spec.dims)
+        assert (x.data.tolist(), x.row.tolist(), x.col.tolist()) == self.rebuild(examples, spec)
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_memo_matches_per_example_featurize(self, lowercase):
+        spec = FeatureSpec(dims=1024, ngram_max=3, lowercase=lowercase)
+        exs = self.examples()
+        a_side = set(featurize(Example(id="a", text_a="red apple pie", label=0), spec))
+        b_side = set(featurize(Example(id="b", text_a="x", text_b="red apple pie", label=0), spec))
+        assert a_side - b_side  # the shared n-grams land in different columns per field
+        self.assert_matches_rebuild(exs, spec)
+
+    def test_memo_lives_for_one_build_and_one_spec(self):
+        exs = self.examples()
+        for dims in (16, 1024, 16):
+            self.assert_matches_rebuild(exs, FeatureSpec(dims=dims, ngram_max=2))
+        narrow = _design_matrix(exs, FeatureSpec(dims=16, ngram_max=2))
+        wide = _design_matrix(exs, FeatureSpec(dims=1024, ngram_max=2))
+        assert narrow.col.max() < 16 <= wide.col.max()
 
 
 class TestGradients:
