@@ -29,7 +29,7 @@ from .experiment import (
 from .ioutil import atomic_write_text, open_text
 from .predictor import FeatureSpec, _expected_shapes, load_model, param_count, save_model
 from .prune import PruneSpec, prune_magnitude, sparsity
-from .resample import make_plan, plan_to_manifest
+from .resample import plan_to_manifest
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -138,7 +138,7 @@ def cmd_variance(args) -> int:
     out_dir = Path(args.out)
     csv_path = out_dir / f"variance_{args.task}.csv"
     write_variance_report(report, csv_path)
-    plan = make_plan(args.n, args.m, len(task_data.train), args.seed)
+    plan = task_data._plan(args.n, args.m, args.seed)
     atomic_write_text(out_dir / f"plan_{args.task}.json", plan_to_manifest(plan))
     print(f"wrote {csv_path}")
     print(

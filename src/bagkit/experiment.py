@@ -13,7 +13,8 @@ every configuration run on it: each split's design matrix is built once per
 feature space, and the grid search runs once per (model kind, feature
 space). A bagged member trains on the rows of the training matrix that its
 bootstrap sample draws, so no example is featurized twice in one feature
-space.
+space. Members with the same feature space, hyperparameters (seed included)
+and bootstrap samples train once; pruning is applied per member afterwards.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
@@ -44,7 +45,7 @@ from .predictor import (
     param_count,
 )
 from .prune import PruneSpec, prune_magnitude
-from .resample import BootstrapSample, _task_seed, bootstrap, derive_seed, make_plan
+from .resample import BootstrapPlan, BootstrapSample, _task_seed, bootstrap, derive_seed, make_plan
 
 __all__ = [
     "MODEL_KINDS",
@@ -210,9 +211,11 @@ class TaskData:
     """A task's datasets plus its headline metric (accuracy or macro_f1).
 
     Also holds what a batch derives from the task alone and reuses across
-    members and configurations: one design matrix per (split, feature space)
-    and one grid-search winner per (model kind, feature space). The cache
-    lives exactly as long as the TaskData.
+    members and configurations: one design matrix per (split, feature space),
+    one grid-search winner per (model kind, feature space), one variance plan,
+    and one unpruned model per (feature space, hyperparameters, bootstrap
+    samples), which each member prunes as a copy. The cache lives exactly as
+    long as the TaskData.
     """
 
     train: Dataset
@@ -246,6 +249,30 @@ class TaskData:
                 self.metric,
                 spec,
             )
+        return self._cache[key]
+
+    def _fitted(self, spec: FeatureSpec, hyper: Hyperparams, samples: tuple = ()) -> Model:
+        """The unpruned model trained on the training rows a chain of bootstrap samples draws.
+
+        Each sample addresses positions of the one before; with no samples the
+        model trains on the training matrix itself. A diverged fit is not kept.
+        """
+        key = ("fit", spec, hyper, tuple(s.seed for s in samples))
+        if key not in self._cache:
+            x, y = self._matrix("train", spec), self.train.labels()
+            if samples:
+                rows = np.arange(len(self.train))
+                for sample in samples:
+                    rows = rows[np.array(sample.indices)]
+                x, y = x[rows], y[rows]
+            self._cache[key] = _fit_rows(x, y, self.train.num_classes, spec, hyper)
+        return self._cache[key]
+
+    def _plan(self, n: int, m: int, base_seed: int) -> BootstrapPlan:
+        """The variance protocol's two-level plan over the training split."""
+        key = ("plan", n, m, base_seed)
+        if key not in self._cache:
+            self._cache[key] = make_plan(n, m, len(self.train), base_seed)
         return self._cache[key]
 
 
@@ -340,8 +367,8 @@ def _search(
 def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | None]]:
     """The full-data seed and, per member, its bootstrap sample seed or None.
 
-    Full-data members share one seed, so identical members train to the same
-    model (each of them is still trained).
+    Full-data members share one seed, so identical members are one model,
+    trained once per TaskData.
     """
     task_seed = _task_seed(config.base_seed, task)
     sample_seeds = [
@@ -351,20 +378,11 @@ def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | No
     return derive_seed(task_seed, 0, 0), sample_seeds
 
 
-def _fit_member(
-    x: _Rows, y: np.ndarray, num_classes: int, member: MemberSpec, hyper: Hyperparams
-) -> Model:
-    """Fit one member on design-matrix rows, then magnitude-prune it if asked."""
-    model = _fit_rows(x, y, num_classes, member.feature_spec, hyper)
+def _pruned(model: Model, member: MemberSpec) -> Model:
+    """The member's pruned copy of a model, or the model itself if it prunes nothing."""
     if member.prune_fraction > 0:
-        model = prune_magnitude(model, PruneSpec(member.prune_fraction))
+        return prune_magnitude(model, PruneSpec(member.prune_fraction))
     return model
-
-
-def _gather(x: _Rows, y: np.ndarray, sample: BootstrapSample) -> tuple[_Rows, np.ndarray]:
-    """The rows and labels a bootstrap sample draws, in the sample's order."""
-    rows = np.array(sample.indices)
-    return x[rows], y[rows]
 
 
 def _test_vote(models: list[Model], task_data: TaskData) -> np.ndarray:
@@ -379,25 +397,20 @@ def _train_members(
     config: EnsembleConfig, task: str, task_data: TaskData
 ) -> list[Model]:
     full_data_seed, sample_seeds = _member_seeds(config, task)
-    train = task_data.train
-    y_train = train.labels()
     models: list[Model] = []
     for k, (member, sample_seed) in enumerate(zip(config.members, sample_seeds)):
-        hyper = member.hyper_override
-        if hyper is None:
-            hyper = task_data._searched(member.model_kind, member.feature_spec)
-        x, y = task_data._matrix("train", member.feature_spec), y_train
+        hyper = member.hyper_override or task_data._searched(member.model_kind, member.feature_spec)
         if sample_seed is None:
-            hyper = replace(hyper, seed=full_data_seed)
+            seed, samples = full_data_seed, ()
         else:
-            x, y = _gather(x, y, bootstrap(len(train), sample_seed))
-            hyper = replace(hyper, seed=sample_seed)
+            seed, samples = sample_seed, (bootstrap(len(task_data.train), sample_seed),)
         try:
-            models.append(_fit_member(x, y, train.num_classes, member, hyper))
+            model = task_data._fitted(member.feature_spec, replace(hyper, seed=seed), samples)
         except TrainingDiverged as exc:
             raise TrainingDiverged(
                 f"config {config.config_id!r}, task {task!r}, member {k}: {exc}"
             ) from exc
+        models.append(_pruned(model, member))
     return models
 
 
@@ -450,38 +463,24 @@ def variance_analysis(
     """
     if n < 2:
         raise ConfigError(f"variance analysis requires n >= 2, got {n}")
-    plan = make_plan(n, m, len(task_data.train), base_seed)
+    plan = task_data._plan(n, m, base_seed)
     hyper_base = member.hyper_override or DEFAULT_HYPER[member.model_kind]
     test_labels = task_data.test.labels()
     num_classes = task_data.test.num_classes
-
-    x_train = task_data._matrix("train", member.feature_spec)
-    y_train = task_data.train.labels()
     x_test = task_data._matrix("test", member.feature_spec)
-    train_classes = task_data.train.num_classes
+
+    def trained(*chain: BootstrapSample) -> Model:
+        """The member trained on a chain of samples, seeded by its last one, then pruned."""
+        hyper = replace(hyper_base, seed=chain[-1].seed)
+        return _pruned(task_data._fitted(member.feature_spec, hyper, chain), member)
 
     singles: list[float] = []
     ensembles: list[float] = []
     for first, second in zip(plan.first_level, plan.second_level):
-        x_first, y_first = _gather(x_train, y_train, first)
-        single = _fit_member(
-            x_first, y_first, train_classes, member, replace(hyper_base, seed=first.seed)
-        )
-        preds = _argmax_predictions(single, x_test)
+        preds = _argmax_predictions(trained(first), x_test)
         singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
-
-        # A second-level sample addresses positions of the first-level sample.
-        group = [
-            _fit_member(
-                *_gather(x_first, y_first, s), train_classes, member,
-                replace(hyper_base, seed=s.seed),
-            )
-            for s in second
-        ]
-        winners = _test_vote(group, task_data)
-        ensembles.append(
-            evaluate(winners, test_labels, num_classes).metric(task_data.metric)
-        )
+        winners = _test_vote([trained(first, s) for s in second], task_data)
+        ensembles.append(evaluate(winners, test_labels, num_classes).metric(task_data.metric))
 
     single_mean, single_std = mean_std(singles)
     ensemble_mean, ensemble_std = mean_std(ensembles)

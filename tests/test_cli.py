@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bagkit
+from bagkit import cli, experiment
 from bagkit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -46,6 +47,22 @@ def run_cli(*argv):
 
 def file_hashes(out_dir, names):
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of a module with a call counter; missing names are skipped."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestValidate:
@@ -185,6 +202,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert "FAILED" in err and "missing-task" in err
 
+    def test_batch_work_counts(self, toy_workspace, tmp_path, monkeypatch):
+        # 9 searches of 4 candidates, plus 21 distinct members of the 33 declared
+        # (t3 reuses t2's unpruned fits, t5 reuses t1's full-data logreg); one
+        # design matrix per (task, split, feature space).
+        calls = count_calls(monkeypatch, experiment, ("_fit_rows", "_search", "_design_matrix"))
+        code = run_cli(
+            "run",
+            "--config", toy_workspace / "configs.json",
+            "--data", toy_workspace / "data",
+            "--out", tmp_path,
+        )
+        assert code == EXIT_OK
+        assert calls == {"_fit_rows": 57, "_search": 9, "_design_matrix": 27}
+
     def test_seed_override_changes_bagged_results(self, toy_workspace, toy_run, tmp_path):
         _, first_out = toy_run
         seeded_out = tmp_path / "outseed"
@@ -235,6 +266,22 @@ class TestVariance:
         )
         assert code == EXIT_OK
         assert file_hashes(out_dir, GOLDEN_VARIANCE_MLP_PRUNED) == GOLDEN_VARIANCE_MLP_PRUNED
+
+    def test_plan_built_once(self, toy_workspace, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, experiment, ("make_plan", "_fit_rows"))
+        cli_calls = count_calls(monkeypatch, cli, ("make_plan",))
+        code = run_cli(
+            "variance",
+            "--task", "topics2",
+            "--data", toy_workspace / "data",
+            "--out", tmp_path,
+            "--dims", 256,
+            "--n", 3,
+            "--m", 2,
+        )
+        assert code == EXIT_OK
+        assert calls["make_plan"] + cli_calls["make_plan"] == 1
+        assert calls["_fit_rows"] == 3 + 3 * 2  # every single model and ensemble member
 
     def test_n_one_is_usage_error(self, toy_workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -43,6 +43,11 @@ def task_acc():
     return synthetic_task("acc2", seed=41, n_train=120, n_val=40, n_test=60)
 
 
+def fresh(task):
+    """The same task in a new TaskData, with nothing cached yet."""
+    return TaskData(train=task.train, val=task.val, test=task.test, metric=task.metric)
+
+
 @pytest.fixture(scope="module")
 def task_f1():
     return synthetic_task(
@@ -206,7 +211,7 @@ class TestRunConfig:
             ("acc2",), base_seed=3,
         )
         r1 = run_config(config, {"acc2": task_acc})
-        r2 = run_config(config, {"acc2": task_acc})
+        r2 = run_config(config, {"acc2": fresh(task_acc)})  # retrains, not the cached fits
         assert r1 == r2
 
     def test_unknown_task_rejected(self, task_acc):
@@ -258,13 +263,20 @@ class TestRowGatherTraining:
         replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
         self.assert_same_params(gathered, replayed)
 
+    @pytest.mark.parametrize("hyper", HYPERS, ids=["logreg", "mlp"])
+    def test_fitted_keys_the_whole_chain(self, task_acc, hyper):
+        train = task_acc.train
+        first, other_first, second = (bootstrap(len(train), seed) for seed in (21, 23, 22))
+        data = fresh(task_acc)
+        chained = data._fitted(SPEC, hyper, (first, second))
+        replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
+        self.assert_same_params(chained, replayed)
+        other = data._fitted(SPEC, hyper, (other_first, second))
+        assert not all(np.array_equal(chained.params[k], other.params[k]) for k in other.params)
+
 
 class TestTaskCache:
-    """A TaskData builds each design matrix once and runs each grid search once."""
-
-    @staticmethod
-    def fresh(task):
-        return TaskData(train=task.train, val=task.val, test=task.test, metric=task.metric)
+    """A TaskData builds each design matrix, runs each grid search and trains each fit once."""
 
     def counting(self, monkeypatch):
         builds, searches = Counter(), Counter()
@@ -288,20 +300,60 @@ class TestTaskCache:
             EnsembleConfig("bag", "homo", (member(bagged=True), member(bagged=True)),
                            ("acc2",), base_seed=6),
         ]
-        expected = [run_config(c, {"acc2": self.fresh(task_acc)}) for c in configs]
+        expected = [run_config(c, {"acc2": fresh(task_acc)}) for c in configs]
         builds, searches = self.counting(monkeypatch)
-        shared = {"acc2": self.fresh(task_acc)}
+        shared = {"acc2": fresh(task_acc)}
         assert [run_config(c, shared) for c in configs] == expected
         splits = (task_acc.train, task_acc.val, task_acc.test)
         assert builds == Counter({(id(ds), SPEC): 1 for ds in splits})
         assert searches == Counter({SPEC: 1})
+
+    def counting_fits(self, monkeypatch):
+        fits = Counter()
+        real_fit = experiment._fit_rows
+
+        def fit_rows(x, y, num_classes, spec, hyper):
+            fits[(spec, hyper)] += 1
+            return real_fit(x, y, num_classes, spec, hyper)
+
+        monkeypatch.setattr(experiment, "_fit_rows", fit_rows)
+        return fits
+
+    def test_identical_members_train_once(self, task_acc, monkeypatch):
+        mlp = member(kind="mlp", hyper=Hyperparams(hidden_size=4, epochs=5))
+        bagged, pruned = member(bagged=True), member(bagged=True, prune=0.9)
+        configs = [  # the pruned configuration first, so a prune kept in the cache shows
+            EnsembleConfig("pruned", "homo_pruned", (pruned, pruned), ("acc2",), base_seed=4),
+            EnsembleConfig("one", "single", (member(),), ("acc2",), base_seed=4),
+            EnsembleConfig("bag", "homo", (bagged, bagged), ("acc2",), base_seed=4),
+            EnsembleConfig("mixed", "hetero_diff_family", (member(), mlp), ("acc2",),
+                           base_seed=4),
+        ]
+        expected = [run_config(c, {"acc2": fresh(task_acc)}) for c in configs]
+        assert expected[0].task_accuracy != expected[2].task_accuracy  # the prune shows
+        fits = self.counting_fits(monkeypatch)
+        shared = {"acc2": fresh(task_acc)}
+        assert [run_config(c, shared) for c in configs] == expected
+        # Four search candidates, then one full-data logreg, two bagged members, one MLP.
+        assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 4
+        assert set(fits.values()) == {1}
+
+    def test_diverged_member_is_not_kept(self, task_acc, monkeypatch):
+        diverging = member(hyper=Hyperparams(learning_rate=1e6, l2=1e-4))
+        fits = self.counting_fits(monkeypatch)
+        shared = {"acc2": fresh(task_acc)}
+        for config_id in ("first", "second"):
+            config = EnsembleConfig(config_id, "single", (diverging,), ("acc2",), base_seed=5)
+            with pytest.raises(TrainingDiverged, match="member 0"):
+                run_config(config, shared)
+        assert sum(fits.values()) == 2
 
     def test_diverged_search_is_not_kept(self, task_acc, monkeypatch):
         monkeypatch.setitem(
             experiment.DEFAULT_SEARCH_SPACE, "logreg", (Hyperparams(learning_rate=1e6, l2=1e-4),)
         )
         _, searches = self.counting(monkeypatch)
-        shared = {"acc2": self.fresh(task_acc)}
+        shared = {"acc2": fresh(task_acc)}
         for config_id in ("first", "second"):
             config = EnsembleConfig(config_id, "single", (member(),), ("acc2",), base_seed=5)
             with pytest.raises(TrainingDiverged, match="every candidate"):
@@ -318,7 +370,7 @@ class TestVarianceAnalysis:
     def test_deterministic(self, task_acc):
         m = member(bagged=True, hyper=Hyperparams(epochs=2))
         r1 = variance_analysis(task_acc, m, n=3, m=2, base_seed=8)
-        r2 = variance_analysis(task_acc, m, n=3, m=2, base_seed=8)
+        r2 = variance_analysis(fresh(task_acc), m, n=3, m=2, base_seed=8)  # retrains
         assert r1 == r2
 
     def test_n_below_two_rejected(self, task_acc):
