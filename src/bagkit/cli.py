@@ -20,6 +20,7 @@ from .errors import BagkitError, ConfigError, DataError
 from .experiment import (
     DEFAULT_HYPER,
     MemberSpec,
+    _expect_fits,
     run_config,
     sampling_manifest,
     variance_analysis,
@@ -74,6 +75,7 @@ def cmd_run(args) -> int:
 
     # Configurations run one at a time, in file order. Threads do not pay
     # here: the work is many small numpy calls that contend for the GIL.
+    _expect_fits(configs, data)
     results = []
     failures = []
     for config in configs:

@@ -13,8 +13,10 @@ every configuration run on it: each split's design matrix is built once per
 feature space, and the grid search runs once per (model kind, feature
 space). A bagged member trains on the rows of the training matrix that its
 bootstrap sample draws, so no example is featurized twice in one feature
-space. Members with the same feature space, hyperparameters (seed included)
-and bootstrap samples train once; pruning is applied per member afterwards.
+space. In a batch whose members were announced up front, members with the
+same feature space, hyperparameters (seed included) and bootstrap sample
+train once, and the shared model is dropped at its last use; pruning is
+applied per member afterwards.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
@@ -213,9 +215,9 @@ class TaskData:
     Also holds what a batch derives from the task alone and reuses across
     members and configurations: one design matrix per (split, feature space),
     one grid-search winner per (model kind, feature space), one variance plan,
-    and one unpruned model per (feature space, hyperparameters, bootstrap
-    samples), which each member prunes as a copy. The cache lives exactly as
-    long as the TaskData.
+    and each unpruned model that more than one announced member asks for,
+    until the last of them has it. Each member prunes a copy. The rest lives
+    as long as the TaskData.
     """
 
     train: Dataset
@@ -251,22 +253,41 @@ class TaskData:
             )
         return self._cache[key]
 
-    def _fitted(self, spec: FeatureSpec, hyper: Hyperparams, samples: tuple = ()) -> Model:
-        """The unpruned model trained on the training rows a chain of bootstrap samples draws.
+    def _train(self, spec: FeatureSpec, hyper: Hyperparams, samples: tuple = ()) -> Model:
+        """A model trained on the training rows a chain of bootstrap samples draws.
 
         Each sample addresses positions of the one before; with no samples the
-        model trains on the training matrix itself. A diverged fit is not kept.
+        model trains on the training matrix itself. Nothing is kept.
         """
-        key = ("fit", spec, hyper, tuple(s.seed for s in samples))
-        if key not in self._cache:
-            x, y = self._matrix("train", spec), self.train.labels()
-            if samples:
-                rows = np.arange(len(self.train))
-                for sample in samples:
-                    rows = rows[np.array(sample.indices)]
-                x, y = x[rows], y[rows]
-            self._cache[key] = _fit_rows(x, y, self.train.num_classes, spec, hyper)
-        return self._cache[key]
+        x, y = self._matrix("train", spec), self.train.labels()
+        if samples:
+            rows = np.arange(len(self.train))
+            for sample in samples:
+                rows = rows[np.array(sample.indices)]
+            x, y = x[rows], y[rows]
+        return _fit_rows(x, y, self.train.num_classes, spec, hyper)
+
+    def _expect(self, spec: FeatureSpec, hyper: Hyperparams, sample_seed: int | None) -> None:
+        """Announce one more batch member that will ask `_fitted` for this model."""
+        key = ("uses", spec, hyper, sample_seed)
+        self._cache[key] = self._cache.get(key, 0) + 1
+
+    def _fitted(self, spec: FeatureSpec, hyper: Hyperparams, sample_seed: int | None) -> Model:
+        """A batch member's unpruned model, on its bootstrap sample or the full split.
+
+        The model is kept only while announced members still ask for it, and
+        dropped at its last use; a model nobody announced is not kept, nor is
+        a diverged fit.
+        """
+        key, uses_key = ("fit", spec, hyper, sample_seed), ("uses", spec, hyper, sample_seed)
+        model = self._cache.pop(key, None)
+        if model is None:
+            samples = () if sample_seed is None else (bootstrap(len(self.train), sample_seed),)
+            model = self._train(spec, hyper, samples)
+        uses_left = self._cache.pop(uses_key, 1) - 1
+        if uses_left > 0:
+            self._cache[key], self._cache[uses_key] = model, uses_left
+        return model
 
     def _plan(self, n: int, m: int, base_seed: int) -> BootstrapPlan:
         """The variance protocol's two-level plan over the training split."""
@@ -393,19 +414,43 @@ def _test_vote(models: list[Model], task_data: TaskData) -> np.ndarray:
     return winners
 
 
+def _member_fits(config: EnsembleConfig, task: str, task_data: TaskData):
+    """Per member: feature space, hyperparameters (seed included), sample seed or None."""
+    full_data_seed, sample_seeds = _member_seeds(config, task)
+    for member, sample_seed in zip(config.members, sample_seeds):
+        hyper = member.hyper_override or task_data._searched(member.model_kind, member.feature_spec)
+        seed = full_data_seed if sample_seed is None else sample_seed
+        yield member.feature_spec, replace(hyper, seed=seed), sample_seed
+
+
+def _expect_fits(configs, data: dict[str, TaskData]) -> None:
+    """Announce every member of a batch to its TaskData before the batch runs.
+
+    Then a model that several members share trains once and is dropped at
+    its last use. A configuration with an unknown task or a diverging grid
+    search announces nothing: it fails before any of its members train.
+    """
+    for config in configs:
+        if not all(task in data for task in config.tasks):
+            continue
+        try:
+            fits = [
+                (data[task], fit) for task in config.tasks
+                for fit in _member_fits(config, task, data[task])
+            ]
+        except TrainingDiverged:
+            continue
+        for task_data, fit in fits:
+            task_data._expect(*fit)
+
+
 def _train_members(
     config: EnsembleConfig, task: str, task_data: TaskData
 ) -> list[Model]:
-    full_data_seed, sample_seeds = _member_seeds(config, task)
     models: list[Model] = []
-    for k, (member, sample_seed) in enumerate(zip(config.members, sample_seeds)):
-        hyper = member.hyper_override or task_data._searched(member.model_kind, member.feature_spec)
-        if sample_seed is None:
-            seed, samples = full_data_seed, ()
-        else:
-            seed, samples = sample_seed, (bootstrap(len(task_data.train), sample_seed),)
+    for k, (member, fit) in enumerate(zip(config.members, _member_fits(config, task, task_data))):
         try:
-            model = task_data._fitted(member.feature_spec, replace(hyper, seed=seed), samples)
+            model = task_data._fitted(*fit)
         except TrainingDiverged as exc:
             raise TrainingDiverged(
                 f"config {config.config_id!r}, task {task!r}, member {k}: {exc}"
@@ -472,7 +517,7 @@ def variance_analysis(
     def trained(*chain: BootstrapSample) -> Model:
         """The member trained on a chain of samples, seeded by its last one, then pruned."""
         hyper = replace(hyper_base, seed=chain[-1].seed)
-        return _pruned(task_data._fitted(member.feature_spec, hyper, chain), member)
+        return _pruned(task_data._train(member.feature_spec, hyper, chain), member)
 
     singles: list[float] = []
     ensembles: list[float] = []

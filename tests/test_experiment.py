@@ -48,6 +48,11 @@ def fresh(task):
     return TaskData(train=task.train, val=task.val, test=task.test, metric=task.metric)
 
 
+def fit_entries(task_data):
+    """The cached models and announced uses a TaskData holds."""
+    return [key for key in task_data._cache if key[0] in ("fit", "uses")]
+
+
 @pytest.fixture(scope="module")
 def task_f1():
     return synthetic_task(
@@ -211,7 +216,7 @@ class TestRunConfig:
             ("acc2",), base_seed=3,
         )
         r1 = run_config(config, {"acc2": task_acc})
-        r2 = run_config(config, {"acc2": fresh(task_acc)})  # retrains, not the cached fits
+        r2 = run_config(config, {"acc2": task_acc})
         assert r1 == r2
 
     def test_unknown_task_rejected(self, task_acc):
@@ -264,14 +269,14 @@ class TestRowGatherTraining:
         self.assert_same_params(gathered, replayed)
 
     @pytest.mark.parametrize("hyper", HYPERS, ids=["logreg", "mlp"])
-    def test_fitted_keys_the_whole_chain(self, task_acc, hyper):
+    def test_train_composes_the_whole_chain(self, task_acc, hyper):
         train = task_acc.train
         first, other_first, second = (bootstrap(len(train), seed) for seed in (21, 23, 22))
         data = fresh(task_acc)
-        chained = data._fitted(SPEC, hyper, (first, second))
+        chained = data._train(SPEC, hyper, (first, second))
         replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
         self.assert_same_params(chained, replayed)
-        other = data._fitted(SPEC, hyper, (other_first, second))
+        other = data._train(SPEC, hyper, (other_first, second))
         assert not all(np.array_equal(chained.params[k], other.params[k]) for k in other.params)
 
 
@@ -333,10 +338,34 @@ class TestTaskCache:
         assert expected[0].task_accuracy != expected[2].task_accuracy  # the prune shows
         fits = self.counting_fits(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
+        experiment._expect_fits(configs, shared)
         assert [run_config(c, shared) for c in configs] == expected
         # Four search candidates, then one full-data logreg, two bagged members, one MLP.
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 4
         assert set(fits.values()) == {1}
+        assert fit_entries(shared["acc2"]) == []  # each shared model dropped at its last use
+
+    def test_unannounced_members_are_not_kept(self, task_acc, monkeypatch):
+        configs = [
+            EnsembleConfig(cid, "homo", (member(bagged=True), member(bagged=True)),
+                           ("acc2",), base_seed=4)
+            for cid in ("a", "b")
+        ]
+        fits = self.counting_fits(monkeypatch)
+        shared = {"acc2": fresh(task_acc)}
+        for config in configs:
+            run_config(config, shared)
+        assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 2 * 2
+        assert fit_entries(shared["acc2"]) == []
+
+    def test_shared_model_dropped_at_last_use(self, task_acc):
+        data, hyper = fresh(task_acc), Hyperparams(epochs=2, seed=3)
+        data._expect(SPEC, hyper, 11)
+        data._expect(SPEC, hyper, 11)
+        first = data._fitted(SPEC, hyper, 11)
+        assert len(fit_entries(data)) == 2  # the model and its one remaining use
+        assert data._fitted(SPEC, hyper, 11) is first
+        assert fit_entries(data) == []
 
     def test_diverged_member_is_not_kept(self, task_acc, monkeypatch):
         diverging = member(hyper=Hyperparams(learning_rate=1e6, l2=1e-4))
@@ -370,8 +399,14 @@ class TestVarianceAnalysis:
     def test_deterministic(self, task_acc):
         m = member(bagged=True, hyper=Hyperparams(epochs=2))
         r1 = variance_analysis(task_acc, m, n=3, m=2, base_seed=8)
-        r2 = variance_analysis(fresh(task_acc), m, n=3, m=2, base_seed=8)  # retrains
+        r2 = variance_analysis(task_acc, m, n=3, m=2, base_seed=8)
         assert r1 == r2
+
+    def test_keeps_no_models(self, task_acc):
+        data = fresh(task_acc)
+        variance_analysis(data, member(bagged=True, hyper=Hyperparams(epochs=2)), n=3, m=2,
+                          base_seed=8)
+        assert fit_entries(data) == []
 
     def test_n_below_two_rejected(self, task_acc):
         with pytest.raises(ConfigError):
