@@ -18,9 +18,15 @@ same feature space, hyperparameters (seed included) and bootstrap sample
 train once, and the shared model is dropped at its last use; pruning is
 applied per member afterwards.
 
+Members train in lockstep groups (`predictor._fit_many`), one loop per
+(feature space, hidden size, epochs): a grid search's candidates, and a
+configuration's members on one task that are not already trained. A member
+trained in a group is bit-identical to the same member trained alone.
+
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
-resamples of that same first-level sample.
+resamples of that same first-level sample; the single model and those
+members train as one lockstep group.
 """
 
 from __future__ import annotations
@@ -41,13 +47,13 @@ from .predictor import (
     Hyperparams,
     Model,
     _design_matrix,
-    _fit_rows,
+    _fit_many,
     _forward_proba,
     _Rows,
     param_count,
 )
 from .prune import PruneSpec, prune_magnitude
-from .resample import BootstrapPlan, BootstrapSample, _task_seed, bootstrap, derive_seed, make_plan
+from .resample import BootstrapPlan, _task_seed, bootstrap, derive_seed, make_plan
 
 __all__ = [
     "MODEL_KINDS",
@@ -217,7 +223,8 @@ class TaskData:
     one grid-search winner per (model kind, feature space), one variance plan,
     and each unpruned model that more than one announced member asks for,
     until the last of them has it. Each member prunes a copy. The rest lives
-    as long as the TaskData.
+    as long as the TaskData. Models are trained in lockstep groups, one loop
+    per (feature space, hidden size, epochs).
     """
 
     train: Dataset
@@ -253,41 +260,56 @@ class TaskData:
             )
         return self._cache[key]
 
-    def _train(self, spec: FeatureSpec, hyper: Hyperparams, samples: tuple = ()) -> Model:
-        """A model trained on the training rows a chain of bootstrap samples draws.
+    def _train(self, spec: FeatureSpec, fits) -> list[Model | TrainingDiverged]:
+        """Models trained in lockstep, one per (hyperparameters, chain of bootstrap samples).
 
-        Each sample addresses positions of the one before; with no samples the
-        model trains on the training matrix itself. Nothing is kept.
+        Each sample of a chain addresses positions of the one before, so a
+        chain composes into one array of training-matrix rows; the empty
+        chain is every row. Nothing is kept.
         """
-        x, y = self._matrix("train", spec), self.train.labels()
-        if samples:
+        row_sets = []
+        for _, samples in fits:
             rows = np.arange(len(self.train))
             for sample in samples:
                 rows = rows[np.array(sample.indices)]
-            x, y = x[rows], y[rows]
-        return _fit_rows(x, y, self.train.num_classes, spec, hyper)
+            row_sets.append(rows)
+        return _fit_groups(
+            self._matrix("train", spec),
+            self.train.labels(),
+            self.train.num_classes,
+            spec,
+            [hyper for hyper, _ in fits],
+            row_sets,
+        )
 
     def _expect(self, spec: FeatureSpec, hyper: Hyperparams, sample_seed: int | None) -> None:
         """Announce one more batch member that will ask `_fitted` for this model."""
         key = ("uses", spec, hyper, sample_seed)
         self._cache[key] = self._cache.get(key, 0) + 1
 
-    def _fitted(self, spec: FeatureSpec, hyper: Hyperparams, sample_seed: int | None) -> Model:
-        """A batch member's unpruned model, on its bootstrap sample or the full split.
+    def _fitted(self, fits) -> list[Model | TrainingDiverged]:
+        """Batch members' unpruned models, per (feature space, hyperparameters, sample seed).
 
-        The model is kept only while announced members still ask for it, and
-        dropped at its last use; a model nobody announced is not kept, nor is
-        a diverged fit.
+        A sample seed of None is the full split. The fits not held train once
+        each, in lockstep groups. A model is kept only while
+        announced members still ask for it, and dropped at its last use; a
+        model nobody announced is not kept, nor is a diverged fit.
         """
-        key, uses_key = ("fit", spec, hyper, sample_seed), ("uses", spec, hyper, sample_seed)
-        model = self._cache.pop(key, None)
-        if model is None:
-            samples = () if sample_seed is None else (bootstrap(len(self.train), sample_seed),)
-            model = self._train(spec, hyper, samples)
-        uses_left = self._cache.pop(uses_key, 1) - 1
-        if uses_left > 0:
-            self._cache[key], self._cache[uses_key] = model, uses_left
-        return model
+        models = {fit: self._cache.pop(("fit", *fit), None) for fit in dict.fromkeys(fits)}
+        missing = [fit for fit, model in models.items() if model is None]
+        for spec in dict.fromkeys(spec for spec, _, _ in missing):
+            group = [fit for fit in missing if fit[0] == spec]
+            chains = [
+                (hyper, () if seed is None else (bootstrap(len(self.train), seed),))
+                for _, hyper, seed in group
+            ]
+            models.update(zip(group, self._train(spec, chains)))
+        for fit, model in models.items():
+            asked = fits.count(fit)
+            uses_left = self._cache.pop(("uses", *fit), asked) - asked
+            if uses_left > 0 and isinstance(model, Model):
+                self._cache[("fit", *fit)], self._cache[("uses", *fit)] = model, uses_left
+        return [models[fit] for fit in fits]
 
     def _plan(self, n: int, m: int, base_seed: int) -> BootstrapPlan:
         """The variance protocol's two-level plan over the training split."""
@@ -371,10 +393,10 @@ def _search(
         raise ConfigError(f"unknown metric {metric!r}")
     best: Hyperparams | None = None
     best_score = -np.inf
-    for hyper in space:
-        try:
-            model = _fit_rows(x_train, y_train, num_classes, feature_spec, hyper)
-        except TrainingDiverged:
+    rows = np.arange(x_train.shape[0])
+    models = _fit_groups(x_train, y_train, num_classes, feature_spec, space, [rows] * len(space))
+    for hyper, model in zip(space, models):
+        if isinstance(model, TrainingDiverged):
             continue
         preds = _argmax_predictions(model, x_val)
         score = evaluate(preds, y_val, num_classes).metric(metric)
@@ -383,6 +405,26 @@ def _search(
     if best is None:
         raise TrainingDiverged("every candidate in the hyperparameter space diverged")
     return best
+
+
+def _fit_groups(
+    x: _Rows, y: np.ndarray, num_classes: int, spec: FeatureSpec, hypers, row_sets
+) -> list[Model | TrainingDiverged]:
+    """`_fit_many` over members that may differ in hidden size or epochs.
+
+    One lockstep loop per (hidden size, epochs); outcomes in the members' order.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, hyper in enumerate(hypers):
+        groups.setdefault((hyper.hidden_size, hyper.epochs), []).append(i)
+    outcomes: list = [None] * len(hypers)
+    for group in groups.values():
+        trained = _fit_many(
+            x, y, num_classes, spec, [hypers[i] for i in group], [row_sets[i] for i in group]
+        )
+        for i, outcome in zip(group, trained):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | None]]:
@@ -447,14 +489,13 @@ def _expect_fits(configs, data: dict[str, TaskData]) -> None:
 def _train_members(
     config: EnsembleConfig, task: str, task_data: TaskData
 ) -> list[Model]:
+    fitted = task_data._fitted(list(_member_fits(config, task, task_data)))
     models: list[Model] = []
-    for k, (member, fit) in enumerate(zip(config.members, _member_fits(config, task, task_data))):
-        try:
-            model = task_data._fitted(*fit)
-        except TrainingDiverged as exc:
+    for k, (member, model) in enumerate(zip(config.members, fitted)):
+        if isinstance(model, TrainingDiverged):
             raise TrainingDiverged(
-                f"config {config.config_id!r}, task {task!r}, member {k}: {exc}"
-            ) from exc
+                f"config {config.config_id!r}, task {task!r}, member {k}: {model}"
+            ) from model
         models.append(_pruned(model, member))
     return models
 
@@ -514,17 +555,21 @@ def variance_analysis(
     num_classes = task_data.test.num_classes
     x_test = task_data._matrix("test", member.feature_spec)
 
-    def trained(*chain: BootstrapSample) -> Model:
-        """The member trained on a chain of samples, seeded by its last one, then pruned."""
-        hyper = replace(hyper_base, seed=chain[-1].seed)
-        return _pruned(task_data._train(member.feature_spec, hyper, chain), member)
-
     singles: list[float] = []
     ensembles: list[float] = []
     for first, second in zip(plan.first_level, plan.second_level):
-        preds = _argmax_predictions(trained(first), x_test)
+        # One lockstep group per first-level sample: the single model, then its
+        # ensemble's members, each seeded by the last sample of its chain.
+        chains = [(first,)] + [(first, s) for s in second]
+        fits = [(replace(hyper_base, seed=chain[-1].seed), chain) for chain in chains]
+        models = task_data._train(member.feature_spec, fits)
+        for model in models:
+            if isinstance(model, TrainingDiverged):
+                raise model
+        single, *ensemble = (_pruned(model, member) for model in models)
+        preds = _argmax_predictions(single, x_test)
         singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
-        winners = _test_vote([trained(first, s) for s in second], task_data)
+        winners = _test_vote(ensemble, task_data)
         ensembles.append(evaluate(winners, test_labels, num_classes).metric(task_data.metric))
 
     single_mean, single_std = mean_std(singles)

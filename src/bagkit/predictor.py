@@ -12,6 +12,15 @@ mini-batch gradient descent on softmax cross-entropy with an L2 penalty on
 weight matrices (biases are not penalized). Everything is derived from the
 hyperparameter seed, so a fit is bit-reproducible.
 
+The training loop, `_fit_many`, trains a group of members that share hidden
+size, epochs and row count in lockstep. Their parameters are stacked on a
+leading member axis, each step gathers every member's batch at once (member
+m's columns offset by m * dims), and one call of `_loss_and_grads` steps them
+all. Each member keeps its own seeded stream for initialization and batch
+order, and every sum adds the same terms in the same order as it would
+alone, so a member trained in a group is bit-identical to the same member
+trained by itself.
+
 Parameters live in named flat float64 arrays. A flat index maps to the 2-D
 weight position row-major: ``out_weight[k]`` is row ``k // C``, column
 ``k % C`` of the (inputs x classes) matrix. Layer order for initialization
@@ -51,6 +60,7 @@ __all__ = [
 ]
 
 _BATCH_SIZE = 32
+_TINY = np.finfo(np.float64).tiny
 _FIELD_SEP = "\x1f"
 _MODEL_FORMAT = "bagkit-model-v1"
 _META_FIELDS = {
@@ -154,19 +164,25 @@ def featurize(example: Example, spec: FeatureSpec) -> dict[int, int]:
     return _ngram_counts(example, spec, {})
 
 
-def _ngram_counts(example: Example, spec: FeatureSpec, memo: dict[str, int]) -> dict[int, int]:
-    """featurize, with ``memo`` mapping n-gram keys already hashed in this spec to columns."""
+def _ngram_counts(example: Example, spec: FeatureSpec, memo: dict) -> dict[int, int]:
+    """featurize, with ``memo`` holding the columns of n-grams already hashed in this spec.
+
+    The memo is looked up per field and order by the n-gram's words alone, so
+    the salted key string that is hashed is built only for an n-gram not seen
+    before.
+    """
     counts: dict[int, int] = {}
     for salt, text in (("a", example.text_a), ("b", example.text_b)):
         if not text:
             continue
         toks = _tokens(text, spec.lowercase)
         for n in range(1, spec.ngram_max + 1):
-            for i in range(len(toks) - n + 1):
-                key = salt + _FIELD_SEP + " ".join(toks[i : i + n])
-                idx = memo.get(key)
+            seen = memo.setdefault((salt, n), {})
+            grams = toks if n == 1 else map(" ".join, zip(*(toks[j:] for j in range(n))))
+            for gram in grams:
+                idx = seen.get(gram)
                 if idx is None:
-                    idx = memo[key] = _hash_index(key, spec.dims)
+                    idx = seen[gram] = _hash_index(salt + _FIELD_SEP + gram, spec.dims)
                 counts[idx] = counts.get(idx, 0) + 1
     return counts
 
@@ -187,27 +203,34 @@ class _Rows:
     def T(self) -> _Rows:
         return _Rows(self.data, self.col, self.row, self.shape[::-1])
 
-    def __getitem__(self, rows: np.ndarray | slice) -> _Rows:
+    def __getitem__(self, rows: np.ndarray) -> _Rows:
         # Needs ``row`` sorted: a gather is only taken before any transpose.
-        if isinstance(rows, slice):
-            # A contiguous range of rows is a view of a contiguous range of entries.
-            start, stop, step = rows.indices(self.shape[0])
-            if step != 1:
-                raise ValueError("a row slice must have step 1")
-            stop = max(start, stop)
-            lo, hi = np.searchsorted(self.row, (start, stop))
-            return _Rows(self.data[lo:hi], self.row[lo:hi] - start, self.col[lo:hi],
-                         (stop - start, self.shape[1]))
-        starts = np.searchsorted(self.row, rows, "left")
-        counts = np.searchsorted(self.row, rows, "right") - starts
-        take = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        new_row = np.repeat(np.arange(len(rows)), counts)
+        starts = self.row.searchsorted(rows)
+        counts = self.row.searchsorted(rows, "right") - starts
+        take = (starts - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
+        new_row = np.arange(len(rows)).repeat(counts)
         return _Rows(self.data[take], new_row, self.col[take], (len(rows), self.shape[1]))
 
+    def lockstep(self, rows: np.ndarray, members: int) -> _Rows:
+        """``self[rows]`` where ``rows`` holds an equal run of rows per member, in turn.
+
+        Member m's columns are offset by ``m * width``, so one product with the
+        members' weights stacked into ``(members * width, k)`` serves them all,
+        and each member's entries keep their storage order.
+        """
+        x = self[rows]
+        x.col += x.row // (len(rows) // members) * self.shape[1]
+        x.shape = (len(rows), members * self.shape[1])
+        return x
+
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.shape[0], w.shape[1]))
-        np.add.at(out, self.row, self.data[:, None] * w[self.col])
-        return out
+        # bincount adds its weights into zeros one by one in input order: the
+        # storage order, per output cell (row, j) at flat position row * k + j.
+        k = w.shape[1]
+        cells = (self.row[:, None] * k + np.arange(k)).ravel()
+        products = (self.data[:, None] * w[self.col]).ravel()
+        sums = np.bincount(cells, weights=products, minlength=self.shape[0] * k)
+        return sums.reshape(self.shape[0], k)
 
 
 def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
@@ -216,7 +239,7 @@ def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
     Each distinct n-gram key is hashed once per build (a memo that lives only
     for this call). Entries go into typed buffers, not lists of boxed numbers.
     """
-    memo: dict[str, int] = {}
+    memo: dict = {}
     data, col, lengths = array("d"), array("q"), array("q")
     for ex in examples:
         counts = _ngram_counts(ex, spec, memo)
@@ -249,21 +272,36 @@ def _init_params(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+def _one(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One member's flat parameter arrays as a stack of one."""
+    return {name: arr[None] for name, arr in params.items()}
 
 
 def _forward(
     params: dict[str, np.ndarray], x: _Rows, num_classes: int, hidden_size: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Hidden activations (None for logistic regression) and output logits."""
+    """Hidden activations (None for logistic regression) and output logits, per member.
+
+    Each params array stacks M members' flat arrays as rows, and ``x`` holds
+    an equal number of rows per member, one member after another (see
+    `_Rows.lockstep`). Both results are (M, rows per member, width).
+    """
+    members = params["out_bias"].shape[0]
     hidden = None
     if hidden_size > 0:
-        w_h = params["hidden_weight"].reshape(x.shape[1], hidden_size)
-        hidden = np.tanh(x @ w_h + params["hidden_bias"])
-    w_o = params["out_weight"].reshape(-1, num_classes)
-    return hidden, (x if hidden is None else hidden) @ w_o + params["out_bias"]
+        w_h = params["hidden_weight"].reshape(-1, hidden_size)
+        pre = (x @ w_h).reshape(members, -1, hidden_size)
+        hidden = np.tanh(pre + params["hidden_bias"][:, None])
+        logits = hidden @ params["out_weight"].reshape(members, hidden_size, num_classes)
+    else:
+        w_o = params["out_weight"].reshape(-1, num_classes)
+        logits = (x @ w_o).reshape(members, -1, num_classes)
+    return hidden, logits + params["out_bias"][:, None]
 
 
 # Overflow is detected via the finite-loss check, not warnings.
@@ -274,42 +312,60 @@ def _loss_and_grads(
     labels: np.ndarray,
     num_classes: int,
     hidden_size: int,
-    l2: float,
+    l2: float | np.ndarray,
     want_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Mean cross-entropy plus 0.5 * l2 * ||weights||^2, and its gradients.
+) -> tuple[float | np.ndarray, dict[str, np.ndarray] | None]:
+    """Mean cross-entropy plus 0.5 * l2 * ||weights||^2, and its gradients, per member.
 
-    Feeds both the training loop and the finite-difference gradient check, so
-    the analytic gradients here are exactly what training uses.
+    The one forward and gradient implementation: it is the lockstep training
+    step, and with one member the finite-difference checks and training_loss,
+    so the analytic gradients checked are exactly what training uses. Stacked,
+    each params array holds M members' flat arrays as rows, ``x`` and
+    ``labels`` hold an equal batch per member, one member after another, ``l2``
+    has one value per member, and the loss and each gradient have one row per
+    member. One member's flat arrays with a number ``l2`` give a number loss
+    and flat gradients.
     """
-    batch, dims = x.shape
+    if params["out_bias"].ndim == 1:
+        loss, grads = _loss_and_grads(
+            _one(params), x, labels, num_classes, hidden_size, np.array([l2]), want_grads
+        )
+        return float(loss[0]), None if grads is None else {n: g[0] for n, g in grads.items()}
+
     hidden, logits = _forward(params, x, num_classes, hidden_size)
-    probs = _softmax(logits)
-    eps = np.finfo(np.float64).tiny
-    data_loss = -np.mean(np.log(probs[np.arange(batch), labels] + eps))
+    members, batch = logits.shape[:2]
+    probs = _softmax(logits).reshape(-1, num_classes)
+    picked = np.arange(members * batch), labels
+    data_loss = -(np.log(probs[picked] + _TINY).reshape(members, batch).sum(axis=1) / batch)
+    # Each member's squared norm is a dot product of its own row, as alone.
     reg_loss = 0.5 * l2 * sum(
-        float(params[name] @ params[name])
+        np.matmul(params[name][:, None], params[name][:, :, None])[:, 0, 0]
         for name in params
         if name.endswith("weight")
     )
-    loss = float(data_loss + reg_loss)
+    loss = data_loss + reg_loss
     if not want_grads:
         return loss, None
 
     d_logits = probs
-    d_logits[np.arange(batch), labels] -= 1.0
+    d_logits[picked] -= 1.0
     d_logits /= batch
+    d_member = d_logits.reshape(members, batch, num_classes)
 
     grads: dict[str, np.ndarray] = {}
-    inputs = x if hidden is None else hidden
-    w_o = params["out_weight"].reshape(-1, num_classes)
-    grads["out_weight"] = (inputs.T @ d_logits + l2 * w_o).ravel()
-    grads["out_bias"] = d_logits.sum(axis=0)
+    l2 = l2[:, None]
+    if hidden is None:
+        d_out = x.T @ d_logits
+    else:
+        d_out = hidden.transpose(0, 2, 1) @ d_member
+    grads["out_weight"] = d_out.reshape(members, -1) + l2 * params["out_weight"]
+    grads["out_bias"] = d_member.sum(axis=1)
     if hidden is not None:
-        w_h = params["hidden_weight"].reshape(dims, hidden_size)
-        d_hidden = (d_logits @ w_o.T) * (1.0 - hidden * hidden)
-        grads["hidden_weight"] = (x.T @ d_hidden + l2 * w_h).ravel()
-        grads["hidden_bias"] = d_hidden.sum(axis=0)
+        w_o = params["out_weight"].reshape(members, hidden_size, num_classes)
+        d_hidden = (d_member @ w_o.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
+        d_in = x.T @ d_hidden.reshape(-1, hidden_size)
+        grads["hidden_weight"] = d_in.reshape(members, -1) + l2 * params["hidden_weight"]
+        grads["hidden_bias"] = d_hidden.sum(axis=1)
     return loss, grads
 
 
@@ -333,37 +389,85 @@ def fit(train: Dataset, spec: FeatureSpec, hyper: Hyperparams) -> Model:
 def _fit_rows(
     x: _Rows, y: np.ndarray, num_classes: int, spec: FeatureSpec, hyper: Hyperparams
 ) -> Model:
-    """The training loop behind fit, over design-matrix rows and their labels.
+    """fit over design-matrix rows and their labels: `_fit_many` of one member on every row."""
+    (outcome,) = _fit_many(x, y, num_classes, spec, (hyper,), (np.arange(x.shape[0]),))
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
 
-    Each epoch gathers the permuted rows once and takes every batch as a
-    contiguous slice: the same rows in the same order as gathering each batch.
+
+def _fit_many(
+    x: _Rows,
+    y: np.ndarray,
+    num_classes: int,
+    spec: FeatureSpec,
+    hypers,
+    row_sets,
+) -> list[Model | TrainingDiverged]:
+    """The training loop: members trained in lockstep, a Model or a TrainingDiverged each.
+
+    Member m trains with ``hypers[m]`` on rows ``row_sets[m]`` of ``x`` (and
+    ``y``); the members share hidden size, epochs and row count. Each keeps
+    its own ``default_rng(seed)`` stream for its initialization and its
+    permutation per epoch, so it sees exactly the batches it would see alone.
+    The parameters are stacked on a leading member axis, and each step
+    gathers every member's batch rows in one gather. A member whose loss goes
+    non-finite is dropped with its error and the others go on.
     """
-    n = x.shape[0]
+    n = len(row_sets[0])
     if n == 0:
         raise DataError("cannot fit on an empty dataset")
-    rng = np.random.default_rng(hyper.seed)
-    params = _init_params(spec, hyper, num_classes, rng)
+    hidden, epochs = hypers[0].hidden_size, hypers[0].epochs
+    if any((h.hidden_size, h.epochs) != (hidden, epochs) for h in hypers) or any(
+        len(rows) != n for rows in row_sets
+    ):
+        raise ValueError("lockstep members must share hidden size, epochs and row count")
+    rngs = np.array([np.random.default_rng(h.seed) for h in hypers], dtype=object)
+    params: dict[str, np.ndarray] = {}
+    for m, (hyper, rng) in enumerate(zip(hypers, rngs)):
+        for name, arr in _init_params(spec, hyper, num_classes, rng).items():
+            params.setdefault(name, np.empty((len(hypers), arr.size)))[m] = arr
+    rows = np.stack(row_sets)
+    lr = np.array([[h.learning_rate] for h in hypers])
+    l2 = np.array([h.l2 for h in hypers])
+    live = np.arange(len(hypers))  # which member each stacked row is
+    outcomes: list[Model | TrainingDiverged | None] = [None] * len(hypers)
 
-    for epoch in range(hyper.epochs):
-        perm = rng.permutation(n)
-        x_perm, y_perm = x[perm], y[perm]
+    for epoch in range(epochs):
+        order = np.stack([member_rows[rng.permutation(n)] for member_rows, rng in zip(rows, rngs)])
         for start in range(0, n, _BATCH_SIZE):
-            batch = slice(start, start + _BATCH_SIZE)
+            batch = order[:, start : start + _BATCH_SIZE].ravel()
             loss, grads = _loss_and_grads(
-                params, x_perm[batch], y_perm[batch], num_classes, hyper.hidden_size, hyper.l2
+                params, x.lockstep(batch, len(live)), y[batch], num_classes, hidden, l2
             )
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss {loss} at epoch {epoch}, batch offset {start} "
-                    f"(learning_rate={hyper.learning_rate})"
+            finite = np.isfinite(loss)
+            if not finite.all():
+                for i in np.flatnonzero(~finite):
+                    outcomes[live[i]] = TrainingDiverged(
+                        f"non-finite loss {loss[i]} at epoch {epoch}, batch offset {start} "
+                        f"(learning_rate={hypers[live[i]].learning_rate})"
+                    )
+                params = {name: arr[finite] for name, arr in params.items()}
+                grads = {name: arr[finite] for name, arr in grads.items()}
+                rows, order, rngs, live, lr, l2 = (
+                    a[finite] for a in (rows, order, rngs, live, lr, l2)
                 )
+                if not len(live):
+                    return outcomes
+            # In place, so the update makes no parameter-sized temporaries.
             for name, grad in grads.items():
-                params[name] = params[name] - hyper.learning_rate * grad
+                grad *= lr
+                params[name] -= grad
 
-    for name, arr in params.items():
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDiverged(f"non-finite parameters in {name!r} after training")
-    return Model(spec=spec, hyper=hyper, num_classes=num_classes, params=params)
+    for i, member in enumerate(live):
+        arrays = {name: arr[i] for name, arr in params.items()}
+        bad = [name for name, arr in arrays.items() if not np.all(np.isfinite(arr))]
+        outcomes[member] = (
+            TrainingDiverged(f"non-finite parameters in {bad[0]!r} after training")
+            if bad
+            else Model(spec=spec, hyper=hypers[member], num_classes=num_classes, params=arrays)
+        )
+    return outcomes
 
 
 def predict_proba(model: Model, example: Example) -> np.ndarray:
@@ -377,8 +481,8 @@ def predict_proba_dataset(model: Model, dataset: Dataset) -> np.ndarray:
 
 
 def _forward_proba(model: Model, x: _Rows) -> np.ndarray:
-    _, logits = _forward(model.params, x, model.num_classes, model.hyper.hidden_size)
-    return _softmax(logits)
+    _, logits = _forward(_one(model.params), x, model.num_classes, model.hyper.hidden_size)
+    return _softmax(logits[0])
 
 
 def training_loss(model: Model, dataset: Dataset) -> float:

@@ -78,9 +78,11 @@ class BootstrapSample:
                 f"bootstrap sample has {len(self.indices)} indices "
                 f"for source size {self.source_size}"
             )
-        for idx in self.indices:
-            if not 0 <= idx < self.source_size:
-                raise DataError(f"bootstrap index {idx} out of range [0, {self.source_size})")
+        indices = np.asarray(self.indices)
+        if indices.size and (indices.min() < 0 or indices.max() >= self.source_size):
+            first = np.flatnonzero((indices < 0) | (indices >= self.source_size))[0]
+            idx = self.indices[first]
+            raise DataError(f"bootstrap index {idx} out of range [0, {self.source_size})")
 
 
 @dataclass(frozen=True)

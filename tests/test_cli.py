@@ -65,6 +65,27 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+def lockstep_groups(monkeypatch):
+    """Record each lockstep loop experiment runs: its member count, and whether a search ran it."""
+    groups, searching = [], []
+    real_fit_many, real_search = experiment._fit_many, experiment._search
+
+    def fit_many(x, y, num_classes, spec, hypers, row_sets):
+        groups.append((len(hypers), bool(searching)))
+        return real_fit_many(x, y, num_classes, spec, hypers, row_sets)
+
+    def search(*args):
+        searching.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(experiment, "_fit_many", fit_many)
+    monkeypatch.setattr(experiment, "_search", search)
+    return groups
+
+
 class TestValidate:
     def test_happy_path(self, toy_workspace, capsys):
         code = run_cli("validate", "--config", toy_workspace / "configs.json")
@@ -203,10 +224,11 @@ class TestRun:
         assert "FAILED" in err and "missing-task" in err
 
     def test_batch_work_counts(self, toy_workspace, tmp_path, monkeypatch):
-        # 9 searches of 4 candidates, plus 21 distinct members of the 33 declared
-        # (t3 reuses t2's unpruned fits, t5 reuses t1's full-data logreg); one
-        # design matrix per (task, split, feature space).
-        calls = count_calls(monkeypatch, experiment, ("_fit_rows", "_search", "_design_matrix"))
+        # 9 searches of 4 candidates, one lockstep loop each, plus 21 distinct
+        # members of the 33 declared (t3 reuses t2's unpruned fits, t5 reuses
+        # t1's full-data logreg); one design matrix per (task, split, feature space).
+        groups = lockstep_groups(monkeypatch)
+        calls = count_calls(monkeypatch, experiment, ("_search", "_design_matrix"))
         code = run_cli(
             "run",
             "--config", toy_workspace / "configs.json",
@@ -214,7 +236,9 @@ class TestRun:
             "--out", tmp_path,
         )
         assert code == EXIT_OK
-        assert calls == {"_fit_rows": 57, "_search": 9, "_design_matrix": 27}
+        assert calls == {"_search": 9, "_design_matrix": 27}
+        assert sum(size for size, _ in groups) == 57
+        assert sum(searching for _, searching in groups) == 9
 
     def test_seed_override_changes_bagged_results(self, toy_workspace, toy_run, tmp_path):
         _, first_out = toy_run
@@ -268,7 +292,8 @@ class TestVariance:
         assert file_hashes(out_dir, GOLDEN_VARIANCE_MLP_PRUNED) == GOLDEN_VARIANCE_MLP_PRUNED
 
     def test_plan_built_once(self, toy_workspace, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, experiment, ("make_plan", "_fit_rows"))
+        groups = lockstep_groups(monkeypatch)
+        calls = count_calls(monkeypatch, experiment, ("make_plan",))
         cli_calls = count_calls(monkeypatch, cli, ("make_plan",))
         code = run_cli(
             "variance",
@@ -281,7 +306,9 @@ class TestVariance:
         )
         assert code == EXIT_OK
         assert calls["make_plan"] + cli_calls["make_plan"] == 1
-        assert calls["_fit_rows"] == 3 + 3 * 2  # every single model and ensemble member
+        # Every single model and ensemble member, one lockstep loop per first-level sample.
+        assert sum(size for size, _ in groups) == 3 + 3 * 2
+        assert len(groups) == 3
 
     def test_n_one_is_usage_error(self, toy_workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:

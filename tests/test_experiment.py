@@ -273,10 +273,10 @@ class TestRowGatherTraining:
         train = task_acc.train
         first, other_first, second = (bootstrap(len(train), seed) for seed in (21, 23, 22))
         data = fresh(task_acc)
-        chained = data._train(SPEC, hyper, (first, second))
+        chains = [(hyper, (first, second)), (hyper, (other_first, second))]
+        chained, other = data._train(SPEC, chains)
         replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
         self.assert_same_params(chained, replayed)
-        other = data._train(SPEC, hyper, (other_first, second))
         assert not all(np.array_equal(chained.params[k], other.params[k]) for k in other.params)
 
 
@@ -315,13 +315,13 @@ class TestTaskCache:
 
     def counting_fits(self, monkeypatch):
         fits = Counter()
-        real_fit = experiment._fit_rows
+        real_fit_many = experiment._fit_many
 
-        def fit_rows(x, y, num_classes, spec, hyper):
-            fits[(spec, hyper)] += 1
-            return real_fit(x, y, num_classes, spec, hyper)
+        def fit_many(x, y, num_classes, spec, hypers, row_sets):
+            fits.update((spec, hyper) for hyper in hypers)
+            return real_fit_many(x, y, num_classes, spec, hypers, row_sets)
 
-        monkeypatch.setattr(experiment, "_fit_rows", fit_rows)
+        monkeypatch.setattr(experiment, "_fit_many", fit_many)
         return fits
 
     def test_identical_members_train_once(self, task_acc, monkeypatch):
@@ -358,13 +358,27 @@ class TestTaskCache:
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 2 * 2
         assert fit_entries(shared["acc2"]) == []
 
+    @pytest.mark.parametrize("announced", [True, False], ids=["announced", "unannounced"])
+    def test_identical_members_of_one_configuration_train_once(
+        self, task_acc, monkeypatch, announced
+    ):
+        config = EnsembleConfig("d", "homo", (member(), member()), ("acc2",), base_seed=7)
+        expected = run_config(config, {"acc2": fresh(task_acc)})
+        fits = self.counting_fits(monkeypatch)
+        shared = {"acc2": fresh(task_acc)}
+        if announced:
+            experiment._expect_fits([config], shared)
+        assert run_config(config, shared) == expected
+        assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 1
+        assert fit_entries(shared["acc2"]) == []
+
     def test_shared_model_dropped_at_last_use(self, task_acc):
         data, hyper = fresh(task_acc), Hyperparams(epochs=2, seed=3)
         data._expect(SPEC, hyper, 11)
         data._expect(SPEC, hyper, 11)
-        first = data._fitted(SPEC, hyper, 11)
+        (first,) = data._fitted([(SPEC, hyper, 11)])
         assert len(fit_entries(data)) == 2  # the model and its one remaining use
-        assert data._fitted(SPEC, hyper, 11) is first
+        assert data._fitted([(SPEC, hyper, 11)])[0] is first
         assert fit_entries(data) == []
 
     def test_diverged_member_is_not_kept(self, task_acc, monkeypatch):

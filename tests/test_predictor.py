@@ -8,8 +8,12 @@ from bagkit.predictor import (
     Hyperparams,
     Model,
     _design_matrix,
+    _fit_many,
+    _fit_rows,
+    _forward,
     _init_params,
     _loss_and_grads,
+    _one,
     featurize,
     fit,
     initialize,
@@ -20,6 +24,8 @@ from bagkit.predictor import (
     save_model,
     training_loss,
 )
+from bagkit.experiment import grid_search
+from bagkit.resample import bootstrap
 from bagkit.toy import synthetic_task
 
 
@@ -172,6 +178,111 @@ class TestFit:
             assert after <= before
 
 
+def reference_fit(x, y, spec, hyper, rows):
+    """One member trained alone, batch by batch through _loss_and_grads on its own rows."""
+    rng = np.random.default_rng(hyper.seed)
+    params = _init_params(spec, hyper, 2, rng)
+    for _ in range(hyper.epochs):
+        order = rows[rng.permutation(len(rows))]
+        for start in range(0, len(rows), 32):
+            batch = order[start : start + 32]
+            _, grads = _loss_and_grads(
+                params, x[batch], y[batch], 2, hyper.hidden_size, hyper.l2
+            )
+            for name, grad in grads.items():
+                params[name] = params[name] - hyper.learning_rate * grad
+    return params
+
+
+class TestLockstep:
+    """_fit_many trains each member exactly as it would train alone."""
+
+    SPEC = FeatureSpec(dims=256)
+
+    def members(self, hidden, epochs=3):
+        td = synthetic_task("lockstep", seed=8, n_train=75, n_val=20, n_test=20)
+        n = len(td.train)  # 75 rows: the last batch of an epoch is partial
+        first, second, other = (np.array(bootstrap(n, s).indices) for s in (31, 32, 33))
+        assert len(set(first.tolist())) < n  # rows drawn more than once
+        row_sets = [np.arange(n), first, first[second], other, first[second]]
+        hypers = [
+            Hyperparams(learning_rate=lr, l2=l2, epochs=epochs, hidden_size=hidden, seed=seed)
+            for lr, l2, seed in ((0.5, 1e-4, 1), (0.1, 0.0, 2), (0.5, 1e-3, 3), (0.3, 1e-4, 4),
+                                 (0.5, 1e-4, 5))
+        ]
+        return td, hypers, row_sets
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    def test_members_equal_a_per_member_reference(self, hidden):
+        td, hypers, row_sets = self.members(hidden)
+        x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
+        models = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        for model, hyper, rows in zip(models, hypers, row_sets):
+            assert model.hyper == hyper
+            params = reference_fit(x, y, self.SPEC, hyper, rows)
+            assert list(model.params) == list(params)
+            for name in params:
+                assert np.array_equal(model.params[name], params[name]), name
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    def test_diverged_member_drops_out_alone(self, hidden):
+        td, hypers, row_sets = self.members(hidden, epochs=30)
+        hypers[2] = Hyperparams(learning_rate=1e6, epochs=30, hidden_size=hidden, seed=3)
+        x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
+        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
+            try:
+                alone = _fit_rows(x[rows], y[rows], 2, self.SPEC, hyper)
+            except TrainingDiverged as exc:
+                assert isinstance(outcome, TrainingDiverged)
+                assert str(outcome) == str(exc)
+                continue
+            for name in alone.params:
+                assert np.array_equal(outcome.params[name], alone.params[name]), name
+        assert isinstance(outcomes[2], TrainingDiverged)
+        assert "epoch" in str(outcomes[2])
+        assert sum(isinstance(o, TrainingDiverged) for o in outcomes) == 1
+
+    def test_members_must_share_shape_of_training(self):
+        td, hypers, row_sets = self.members(0)
+        x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
+        for bad_hypers, bad_rows in (
+            (hypers[:1] + [Hyperparams(epochs=4)], row_sets[:2]),
+            (hypers[:1] + [Hyperparams(epochs=3, hidden_size=4)], row_sets[:2]),
+            (hypers[:2], [row_sets[0], row_sets[1][:-1]]),
+        ):
+            with pytest.raises(ValueError, match="lockstep"):
+                _fit_many(x, y, 2, self.SPEC, bad_hypers, bad_rows)
+
+    def test_grid_search_skips_a_diverging_candidate(self):
+        td = synthetic_task("search", seed=9, n_train=90, n_val=40, n_test=20)
+        space = [
+            Hyperparams(learning_rate=0.5, epochs=30, seed=2),
+            Hyperparams(learning_rate=1e6, epochs=30, seed=2),
+            Hyperparams(learning_rate=0.1, epochs=30, seed=2),
+            Hyperparams(learning_rate=0.5, l2=0.0, epochs=20, seed=2),  # its own lockstep loop
+            Hyperparams(learning_rate=0.2, l2=0.0, epochs=30, seed=2),
+        ]
+        # The winner scored candidate by candidate, each fit alone.
+        x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
+        x_val, y_val = _design_matrix(td.val, self.SPEC), td.val.labels()
+        best, best_score, diverged = None, -1.0, []
+        for hyper in space:
+            try:
+                model = _fit_rows(x, y, 2, self.SPEC, hyper)
+            except TrainingDiverged:
+                diverged.append(hyper)
+                continue
+            _, logits = _forward(_one(model.params), x_val, 2, hyper.hidden_size)
+            score = float(np.mean(np.argmax(logits[0], axis=1) == y_val))
+            if score > best_score:
+                best, best_score = hyper, score
+        assert diverged == [space[1]]
+        assert grid_search(space, td.train, td.val, feature_spec=self.SPEC) == best
+        without = [h for h in space if h not in diverged]
+        assert grid_search(without, td.train, td.val, feature_spec=self.SPEC) == best
+
+
 class TestPredictProba:
     def test_sums_to_one(self):
         td = synthetic_task("sum", seed=8, n_train=60, n_val=20, n_test=30, num_classes=3)
@@ -283,17 +394,6 @@ class TestDesignMatrix:
         assert batch.shape == (len(pick), self.SPEC.dims)
         assert np.array_equal(batch @ w, _storage_order_products(rows, w))
         assert np.array_equal(batch.T @ d, _storage_order_transposed(rows, d, self.SPEC.dims))
-
-    def test_row_slice_is_the_gather_of_its_range(self):
-        x = _design_matrix(self.examples(), self.SPEC)
-        for lo, hi in ((0, 6), (1, 4), (2, 3), (5, 9), (4, 2)):
-            view, gathered = x[lo:hi], x[np.arange(lo, min(hi, 6))]
-            assert view.shape == gathered.shape
-            for name in ("data", "row", "col"):
-                assert np.array_equal(getattr(view, name), getattr(gathered, name)), name
-        for stepped in (slice(None, None, 2), slice(5, 0, -1)):
-            with pytest.raises(ValueError):
-                x[stepped]
 
 
 class TestKeyMemo:

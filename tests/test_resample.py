@@ -180,3 +180,10 @@ def test_sample_invariants_enforced():
         BootstrapSample(source_size=3, indices=(0, 1), seed=0)
     with pytest.raises(DataError):
         BootstrapSample(source_size=3, indices=(0, 1, 5), seed=0)
+
+
+def test_out_of_range_message_names_the_first_bad_index():
+    for indices, first in (((0, 7, -1, 9), 7), ((2, -1, 5, 0), -1), ((3, 3, 3, 4), 4)):
+        with pytest.raises(DataError) as exc:
+            BootstrapSample(source_size=4, indices=indices, seed=0)
+        assert str(exc.value) == f"bootstrap index {first} out of range [0, 4)"
