@@ -128,8 +128,10 @@ def cmd_variance(args) -> int:
         feature_spec = FeatureSpec(dims=args.dims)
     with _flag("--prune"):
         member = MemberSpec(args.model, feature_spec, prune_fraction=args.prune, bagged=True)
-    if args.model == "mlp" and args.hidden != DEFAULT_HYPER["mlp"].hidden_size:
+    if args.hidden is not None:
         with _flag("--hidden"):
+            if args.model != "mlp":
+                raise ConfigError(f"applies to --model mlp only, got --model {args.model}")
             hyper = replace(DEFAULT_HYPER["mlp"], hidden_size=args.hidden)
             member = replace(member, hyper_override=hyper)
     task_data = load_data_dir(args.data, [args.task])[args.task]
@@ -204,7 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--model", choices=["logreg", "mlp"], default="logreg")
     p.add_argument("--dims", type=int, default=1024, help="hashed feature space size")
-    p.add_argument("--hidden", type=int, default=DEFAULT_HYPER["mlp"].hidden_size)
+    p.add_argument(
+        "--hidden",
+        type=int,
+        default=None,
+        help=f"MLP hidden size, --model mlp only (default {DEFAULT_HYPER['mlp'].hidden_size})",
+    )
     p.add_argument("--prune", type=float, default=0.0, help="member prune fraction")
     p.add_argument("--n", type=int, required=True, help="first-level sample count (>= 2)")
     p.add_argument("--m", type=int, required=True, help="members per ensemble (>= 1)")
@@ -232,6 +239,8 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.verb in ("run", "report") and args.top < 0:
         parser.error(f"--top must be >= 0, got {args.top}")
+    if args.verb in ("run", "variance") and args.seed is not None and not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
     if args.verb == "variance":
         if args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")

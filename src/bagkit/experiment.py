@@ -175,6 +175,10 @@ def _validate_structure(config: EnsembleConfig) -> None:
         )
     if not config.tasks:
         raise ConfigError(f"config {cid!r}: needs at least one task")
+    if not 0 <= config.base_seed < 2**64:
+        raise ConfigError(
+            f"config {cid!r}: base_seed must be in [0, 2**64), got {config.base_seed}"
+        )
     members = config.members
     if not members:
         raise ConfigError(f"config {cid!r}: needs at least one member")

@@ -16,7 +16,8 @@ The training loop, `_fit_many`, trains a group of members that share hidden
 size, epochs and row count in lockstep. Their parameters are stacked on a
 leading member axis, each step gathers every member's batch at once (member
 m's columns offset by m * dims), and one call of `_loss_and_grads` steps them
-all. Each member keeps its own seeded stream for initialization and batch
+all, writing the gradients into buffers the loop keeps for the whole call.
+Each member keeps its own seeded stream for initialization and batch
 order, and every sum adds the same terms in the same order as it would
 alone, so a member trained in a group is bit-identical to the same member
 trained by itself.
@@ -190,26 +191,49 @@ def _ngram_counts(example: Example, spec: FeatureSpec, memo: dict) -> dict[int, 
 class _Rows:
     """Hashed counts, one entry per nonzero count, row by row, columns ascending.
 
-    Storage-order rule: ``x @ w`` adds each ``data[k] * w[col[k]]`` into row
-    ``row[k]`` of a zero matrix in storage order k, so that order alone fixes
-    every float of a fit. ``.T`` swaps ``row`` and ``col`` and moves no entry, so
-    ``x.T @ d`` keeps the order; ``x[rows]`` keeps each row's entries in order.
+    Storage-order rule: ``x @ w`` adds each ``data[i] * w[col[i]]`` into row
+    ``row[i]`` of a zero matrix in storage order i, so that order alone fixes
+    every float of a fit. The product lays its terms out class-major, one
+    slice of all entries per output column j, and sums them with
+    ``np.bincount`` over the flat cells ``row * k + j``: a cell takes terms
+    from its own slice only, and each slice lists the entries in storage
+    order. ``.T`` swaps ``row`` and ``col`` and moves no entry, so ``x.T @ d``
+    keeps the order; ``x[rows]`` keeps each row's entries in order.
+
+    ``indptr`` holds the row pointers (row r's entries are
+    ``indptr[r]:indptr[r + 1]``) that a gather reads. A design matrix and
+    its gathers have them; a transpose has none, and gathering from it
+    raises.
     """
 
-    def __init__(self, data: np.ndarray, row: np.ndarray, col: np.ndarray, shape: tuple[int, int]):
-        self.data, self.row, self.col, self.shape = data, row, col, shape
+    def __init__(
+        self,
+        data: np.ndarray,
+        row: np.ndarray,
+        col: np.ndarray,
+        shape: tuple[int, int],
+        indptr: np.ndarray | None = None,
+    ):
+        self.data, self.row, self.col, self.shape, self.indptr = data, row, col, shape, indptr
 
     @property
     def T(self) -> _Rows:
         return _Rows(self.data, self.col, self.row, self.shape[::-1])
 
     def __getitem__(self, rows: np.ndarray) -> _Rows:
-        # Needs ``row`` sorted: a gather is only taken before any transpose.
-        starts = self.row.searchsorted(rows)
-        counts = self.row.searchsorted(rows, "right") - starts
-        take = (starts - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
-        new_row = np.arange(len(rows)).repeat(counts)
-        return _Rows(self.data[take], new_row, self.col[take], (len(rows), self.shape[1]))
+        if self.indptr is None:
+            raise ValueError("rows can only be gathered from a matrix with row pointers")
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        ends = counts.cumsum()
+        take = (starts - ends + counts).repeat(counts) + np.arange(counts.sum())
+        return _Rows(
+            self.data[take],
+            np.arange(len(rows)).repeat(counts),
+            self.col[take],
+            (len(rows), self.shape[1]),
+            np.concatenate(([0], ends)),
+        )
 
     def lockstep(self, rows: np.ndarray, members: int) -> _Rows:
         """``self[rows]`` where ``rows`` holds an equal run of rows per member, in turn.
@@ -219,22 +243,25 @@ class _Rows:
         and each member's entries keep their storage order.
         """
         x = self[rows]
-        x.col += x.row // (len(rows) // members) * self.shape[1]
+        bounds = x.indptr[:: len(rows) // members]
+        x.col += np.repeat(np.arange(members) * self.shape[1], bounds[1:] - bounds[:-1])
         x.shape = (len(rows), members * self.shape[1])
         return x
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        # bincount adds its weights into zeros one by one in input order: the
-        # storage order, per output cell (row, j) at flat position row * k + j.
+        # Class-major: slice j holds every entry's term for output column j,
+        # in storage order, so each pass runs over contiguous entries. The
+        # weights are read by flat index, which copies no part of w.
         k = w.shape[1]
-        cells = (self.row[:, None] * k + np.arange(k)).ravel()
-        products = (self.data[:, None] * w[self.col]).ravel()
+        j = np.arange(k)[:, None]
+        cells = (j + self.row * k).ravel()
+        products = (w.reshape(-1).take(j + self.col * k) * self.data).ravel()
         sums = np.bincount(cells, weights=products, minlength=self.shape[0] * k)
         return sums.reshape(self.shape[0], k)
 
 
 def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
-    """One row of hashed counts per example, column indices sorted.
+    """One row of hashed counts per example, column indices sorted, with row pointers.
 
     Each distinct n-gram key is hashed once per build (a memo that lives only
     for this call). Entries go into typed buffers, not lists of boxed numbers.
@@ -247,12 +274,13 @@ def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
             col.append(idx)
             data.append(counts[idx])
         lengths.append(len(counts))
-    row = np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int64))
+    lengths = np.frombuffer(lengths, dtype=np.int64)
     return _Rows(
         np.frombuffer(data, dtype=np.float64),
-        row,
+        np.repeat(np.arange(len(lengths)), lengths),
         np.frombuffer(col, dtype=np.int64),
         (len(lengths), spec.dims),
+        np.concatenate(([0], lengths.cumsum())),
     )
 
 
@@ -314,6 +342,7 @@ def _loss_and_grads(
     hidden_size: int,
     l2: float | np.ndarray,
     want_grads: bool = True,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float | np.ndarray, dict[str, np.ndarray] | None]:
     """Mean cross-entropy plus 0.5 * l2 * ||weights||^2, and its gradients, per member.
 
@@ -324,11 +353,13 @@ def _loss_and_grads(
     ``labels`` hold an equal batch per member, one member after another, ``l2``
     has one value per member, and the loss and each gradient have one row per
     member. One member's flat arrays with a number ``l2`` give a number loss
-    and flat gradients.
+    and flat gradients. The gradients are written into ``out`` (arrays shaped
+    like ``params``, returned) when given, and into new arrays otherwise.
     """
     if params["out_bias"].ndim == 1:
         loss, grads = _loss_and_grads(
-            _one(params), x, labels, num_classes, hidden_size, np.array([l2]), want_grads
+            _one(params), x, labels, num_classes, hidden_size, np.array([l2]), want_grads,
+            None if out is None else _one(out),
         )
         return float(loss[0]), None if grads is None else {n: g[0] for n, g in grads.items()}
 
@@ -352,20 +383,24 @@ def _loss_and_grads(
     d_logits /= batch
     d_member = d_logits.reshape(members, batch, num_classes)
 
-    grads: dict[str, np.ndarray] = {}
+    grads = {name: np.empty_like(arr) for name, arr in params.items()} if out is None else out
     l2 = l2[:, None]
+
+    def weight_grad(name: str, product: np.ndarray) -> None:
+        # l2 * w + product, elementwise the same floats as product + l2 * w.
+        np.multiply(l2, params[name], out=grads[name])
+        grads[name] += product.reshape(members, -1)
+
     if hidden is None:
-        d_out = x.T @ d_logits
+        weight_grad("out_weight", x.T @ d_logits)
     else:
-        d_out = hidden.transpose(0, 2, 1) @ d_member
-    grads["out_weight"] = d_out.reshape(members, -1) + l2 * params["out_weight"]
-    grads["out_bias"] = d_member.sum(axis=1)
+        weight_grad("out_weight", hidden.transpose(0, 2, 1) @ d_member)
+    grads["out_bias"][...] = d_member.sum(axis=1)
     if hidden is not None:
         w_o = params["out_weight"].reshape(members, hidden_size, num_classes)
         d_hidden = (d_member @ w_o.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
-        d_in = x.T @ d_hidden.reshape(-1, hidden_size)
-        grads["hidden_weight"] = d_in.reshape(members, -1) + l2 * params["hidden_weight"]
-        grads["hidden_bias"] = d_hidden.sum(axis=1)
+        weight_grad("hidden_weight", x.T @ d_hidden.reshape(-1, hidden_size))
+        grads["hidden_bias"][...] = d_hidden.sum(axis=1)
     return loss, grads
 
 
@@ -411,8 +446,9 @@ def _fit_many(
     its own ``default_rng(seed)`` stream for its initialization and its
     permutation per epoch, so it sees exactly the batches it would see alone.
     The parameters are stacked on a leading member axis, and each step
-    gathers every member's batch rows in one gather. A member whose loss goes
-    non-finite is dropped with its error and the others go on.
+    gathers every member's batch rows in one gather and writes the gradients
+    into buffers kept for the whole call. A member whose loss goes non-finite
+    is dropped with its error and the others go on.
     """
     n = len(row_sets[0])
     if n == 0:
@@ -427,6 +463,7 @@ def _fit_many(
     for m, (hyper, rng) in enumerate(zip(hypers, rngs)):
         for name, arr in _init_params(spec, hyper, num_classes, rng).items():
             params.setdefault(name, np.empty((len(hypers), arr.size)))[m] = arr
+    grads = {name: np.empty_like(arr) for name, arr in params.items()}
     rows = np.stack(row_sets)
     lr = np.array([[h.learning_rate] for h in hypers])
     l2 = np.array([h.l2 for h in hypers])
@@ -437,8 +474,9 @@ def _fit_many(
         order = np.stack([member_rows[rng.permutation(n)] for member_rows, rng in zip(rows, rngs)])
         for start in range(0, n, _BATCH_SIZE):
             batch = order[:, start : start + _BATCH_SIZE].ravel()
-            loss, grads = _loss_and_grads(
-                params, x.lockstep(batch, len(live)), y[batch], num_classes, hidden, l2
+            loss, _ = _loss_and_grads(
+                params, x.lockstep(batch, len(live)), y[batch], num_classes, hidden, l2,
+                out=grads,
             )
             finite = np.isfinite(loss)
             if not finite.all():

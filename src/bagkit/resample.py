@@ -50,7 +50,7 @@ def derive_seed(base_seed: int, level: int, i: int, j: int = 0) -> int:
     Keyed blake2b over the packed key, so the scheme is identical on every
     platform and independent of any RNG library's internals.
     """
-    key = struct.pack("<QQQQ", base_seed & 0xFFFFFFFFFFFFFFFF, level, i, j)
+    key = struct.pack("<QQQQ", base_seed, level, i, j)
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -58,7 +58,7 @@ def derive_seed(base_seed: int, level: int, i: int, j: int = 0) -> int:
 def _task_seed(base_seed: int, task: str) -> int:
     """Stable 64-bit seed for one task of a configuration run under base_seed."""
     digest = hashlib.blake2b(
-        struct.pack("<Q", base_seed & 0xFFFFFFFFFFFFFFFF) + task.encode("utf-8"),
+        struct.pack("<Q", base_seed) + task.encode("utf-8"),
         digest_size=8,
     ).digest()
     return int.from_bytes(digest, "little")
@@ -132,6 +132,8 @@ def make_plan(n: int, m: int, dataset_size: int, base_seed: int) -> BootstrapPla
         raise DataError(f"plan requires n >= 1 and m >= 1, got n={n}, m={m}")
     if dataset_size < 1:
         raise DataError("plan requires dataset_size >= 1")
+    if not 0 <= base_seed < 2**64:
+        raise DataError(f"plan base_seed must be in [0, 2**64), got {base_seed}")
 
     first_level = tuple(
         bootstrap(dataset_size, derive_seed(base_seed, 1, i)) for i in range(n)

@@ -5,10 +5,12 @@ report lines as they complete.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -253,6 +255,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(bk.__file__).parents[1])},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((out_dir / "results.csv").read_bytes())

@@ -442,6 +442,8 @@ def _write_task_dir(data_dir, **meta):
                              "seed": 0}}, {}, None, EXIT_VALIDATION, "members[0]: epochs"),
         ({}, {"base_seed": 7.9}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": True}, None, EXIT_VALIDATION, "base_seed"),
+        ({}, {"base_seed": -5}, None, EXIT_VALIDATION, "configs[0]: config 'c1': base_seed"),
+        ({}, {"base_seed": 2**64}, None, EXIT_VALIDATION, "configs[0]: config 'c1': base_seed"),
         (None, None, {"num_classes": "two"}, EXIT_IO, "num_classes"),
         (None, None, {"num_classes": 2.0}, EXIT_IO, "num_classes"),
         (None, None, {"label_map": {"no": 0, "yes": "one"}}, EXIT_IO, "label_map['yes']"),
@@ -453,7 +455,8 @@ def _write_task_dir(data_dir, **meta):
     ],
     ids=[
         "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
-        "ngram-float", "epochs-float", "epochs-zero", "seed-float", "seed-bool", "classes-string",
+        "ngram-float", "epochs-float", "epochs-zero", "seed-float", "seed-bool", "seed-negative",
+        "seed-too-large", "classes-string",
         "classes-float", "label-index-string", "label-map-list", "metric-unknown", "classes-one",
         "label-index-range", "classes-unreachable",
     ],
@@ -562,6 +565,8 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
         (["variance", "--model", "mlp", "--hidden", 0], "--hidden"),
         (["variance", "--prune", 1.5], "--prune"),
         (["prune", "--fraction", 1.5], "--fraction"),
+        (["variance", "--model", "logreg", "--hidden", 5], "--hidden"),
+        (["variance", "--hidden", 16], "--hidden"),  # logreg is the default model
     ],
 )
 def test_bad_flag_value_is_validation_error(toy_workspace, tmp_path, capsys, argv, flag):
@@ -586,6 +591,20 @@ def test_negative_top_is_usage_error(toy_workspace, tmp_path, verb):
     }[verb]
     with pytest.raises(SystemExit) as exc:
         run_cli(verb, *argv, "--top", -3)
+    assert exc.value.code == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["run", "variance"])
+@pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 5])
+def test_seed_out_of_range_is_usage_error(toy_workspace, tmp_path, verb, seed):
+    """A seed outside [0, 2**64) is refused, not wrapped onto one inside it."""
+    argv = {
+        "run": ["--config", toy_workspace / "configs.json"],
+        "variance": ["--task", "topics2", "--n", 2, "--m", 1],
+    }[verb]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(verb, *argv, "--data", toy_workspace / "data", "--out", tmp_path, "--seed", seed)
     assert exc.value.code == EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
 

@@ -395,6 +395,45 @@ class TestDesignMatrix:
         assert np.array_equal(batch @ w, _storage_order_products(rows, w))
         assert np.array_equal(batch.T @ d, _storage_order_transposed(rows, d, self.SPEC.dims))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_any_width_sums_in_storage_order(self, k):
+        exs = self.examples()
+        rows = [featurize(ex, self.SPEC) for ex in exs]
+        pick = np.array([3, 1, 0, 3, 4])
+        rng = np.random.default_rng(k)
+        w = rng.normal(size=(self.SPEC.dims, k))
+        x = _design_matrix(exs, self.SPEC)
+        for matrix, picked in ((x, rows), (x[pick], [rows[i] for i in pick])):
+            d = rng.normal(size=(len(picked), k))
+            assert np.array_equal(matrix @ w, _storage_order_products(picked, w))
+            assert np.array_equal(
+                matrix.T @ d, _storage_order_transposed(picked, d, self.SPEC.dims)
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_lockstep_gather_sums_in_storage_order(self, k):
+        # Three members of two rows each; member m's columns start at m * dims.
+        exs = self.examples()
+        dims, members = self.SPEC.dims, 3
+        pick = np.array([1, 3, 3, 0, 4, 1])
+        rows = [
+            {col + i // 2 * dims: count for col, count in featurize(exs[r], self.SPEC).items()}
+            for i, r in enumerate(pick)
+        ]
+        rng = np.random.default_rng(10 + k)
+        w = rng.normal(size=(members * dims, k))
+        d = rng.normal(size=(len(pick), k))
+        x = _design_matrix(exs, self.SPEC).lockstep(pick, members)
+        assert x.shape == (len(pick), members * dims)
+        assert np.array_equal(x @ w, _storage_order_products(rows, w))
+        assert np.array_equal(x.T @ d, _storage_order_transposed(rows, d, members * dims))
+
+    def test_gather_needs_row_pointers(self):
+        x = _design_matrix(self.examples(), self.SPEC)
+        assert np.array_equal(x.indptr, x.row.searchsorted(np.arange(x.shape[0] + 1)))
+        with pytest.raises(ValueError, match="row pointers"):
+            x.T[np.array([0, 1])]
+
 
 class TestKeyMemo:
     """_design_matrix hashes each key once per build; no column may change."""
@@ -442,6 +481,65 @@ class TestKeyMemo:
         narrow = _design_matrix(exs, FeatureSpec(dims=16, ngram_max=2))
         wide = _design_matrix(exs, FeatureSpec(dims=1024, ngram_max=2))
         assert narrow.col.max() < 16 <= wide.col.max()
+
+
+class TestGradientBuffers:
+    """Gradients written into kept buffers are the allocated ones, bit for bit."""
+
+    SPEC = FeatureSpec(dims=64)
+
+    @pytest.mark.parametrize("hidden", [0, 3], ids=["logreg", "mlp"])
+    def test_out_equals_allocating_path(self, hidden):
+        td = synthetic_task("bufs", seed=6, n_train=40, n_val=10, n_test=10)
+        x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
+        hypers = [Hyperparams(hidden_size=hidden, seed=s) for s in (1, 2)]
+        stacked = {
+            name: np.stack([_init_params(self.SPEC, h, 2, np.random.default_rng(h.seed))[name]
+                            for h in hypers])
+            for name in _init_params(self.SPEC, hypers[0], 2, np.random.default_rng(0))
+        }
+        batch = np.array([4, 0, 9, 9, 17, 3])  # three rows per member
+        l2 = np.array([1e-4, 1e-2])
+        cases = (
+            (stacked, x.lockstep(batch, 2), y[batch], l2),
+            ({n: a[0] for n, a in stacked.items()}, x[batch], y[batch], 1e-3),
+        )
+        for params, rows, labels, reg in cases:
+            loss, grads = _loss_and_grads(params, rows, labels, 2, hidden, reg)
+            bufs = {name: np.full_like(arr, np.nan) for name, arr in params.items()}
+            kept = dict(bufs)  # the arrays themselves, whatever happens to the dict
+            loss_out, grads_out = _loss_and_grads(params, rows, labels, 2, hidden, reg, out=bufs)
+            assert np.array_equal(loss_out, loss)
+            assert list(grads_out) == list(grads)
+            for name in grads:
+                assert np.shares_memory(grads_out[name], kept[name])
+                assert np.array_equal(kept[name], grads[name]), name
+
+    def test_models_do_not_share_the_buffers(self, monkeypatch):
+        from bagkit import predictor
+
+        td = synthetic_task("bufs", seed=6, n_train=40, n_val=10, n_test=10)
+        x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
+        buffers = []
+        real = predictor._loss_and_grads
+
+        def spy(*args, out=None, **kwargs):
+            buffers.append(out)
+            return real(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(predictor, "_loss_and_grads", spy)
+        hypers = [
+            Hyperparams(learning_rate=0.5, epochs=30, seed=1),
+            Hyperparams(learning_rate=1e6, epochs=30, l2=1e-2, seed=2),  # diverges
+            Hyperparams(learning_rate=0.2, epochs=30, seed=3),
+        ]
+        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, [np.arange(len(td.train))] * 3)
+        assert isinstance(outcomes[1], TrainingDiverged)
+        kept = {id(arr): arr for out in buffers for arr in out.values()}
+        assert len(kept) == 4  # one pair for the three members, one after the drop
+        for model in (outcomes[0], outcomes[2]):
+            for arr in model.params.values():
+                assert not any(np.shares_memory(arr, buf) for buf in kept.values())
 
 
 class TestGradients:

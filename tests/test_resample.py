@@ -156,8 +156,10 @@ class TestManifest:
             (lambda doc: {**doc, "n": "2"}, "plan manifest.n must be an integer"),
             (lambda doc: {**doc, "first_level_seeds": None},
              "plan manifest.first_level_seeds must be a list"),
+            (lambda doc: {**doc, "base_seed": -1}, "base_seed must be in [0, 2**64), got -1"),
+            (lambda doc: {**doc, "base_seed": 2**64}, "base_seed must be in [0, 2**64)"),
         ],
-        ids=["list", "n-missing", "n-string", "seeds-null"],
+        ids=["list", "n-missing", "n-string", "seeds-null", "seed-negative", "seed-too-large"],
     )
     def test_wrong_shape_is_located_data_error(self, change, located):
         doc = json.loads(plan_to_manifest(make_plan(2, 2, 10, base_seed=1)))
