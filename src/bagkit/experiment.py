@@ -20,13 +20,16 @@ applied per member afterwards.
 
 Members train in lockstep groups (`predictor._fit_many`), one loop per
 (feature space, hidden size, epochs): a grid search's candidates, and a
-configuration's members on one task that are not already trained. A member
-trained in a group is bit-identical to the same member trained alone.
+configuration's members on one task that are not already trained. One width
+rule caps a group: it stacks at most `_MAX_GROUP_PARAMS` parameters, so a
+larger group is split, and a member larger than the cap trains alone. A
+member trained in a group is bit-identical to the same member trained alone.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
-resamples of that same first-level sample; the single model and those
-members train as one lockstep group.
+resamples of that same first-level sample. It trains as many first-level
+samples per lockstep group as the width rule allows, each with its single
+model and its m members, and holds only that group's models.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .predictor import (
     Hyperparams,
     Model,
     _design_matrix,
+    _expected_shapes,
     _fit_many,
     _forward_proba,
     _Rows,
@@ -102,6 +106,15 @@ DEFAULT_SEARCH_SPACE = {
     )
     for kind in MODEL_KINDS
 }
+
+# The most parameters a lockstep group stacks (per-member parameters times
+# members) before it is split; a member larger than this trains alone. At
+# 2^18 the 60 logreg-256 fits of a variance run are one group, an MLP
+# 1024x16 variance run with m = 10 keeps its groups of 11, and an 8192x32 MLP
+# trains one member per group. Without a cap, that MLP run (n = 20) trains
+# its 220 members in one group: peak memory went from 46 to 162 MB, and the
+# run took 1.4 times as long.
+_MAX_GROUP_PARAMS = 2**18
 
 
 @dataclass(frozen=True)
@@ -228,7 +241,7 @@ class TaskData:
     and each unpruned model that more than one announced member asks for,
     until the last of them has it. Each member prunes a copy. The rest lives
     as long as the TaskData. Models are trained in lockstep groups, one loop
-    per (feature space, hidden size, epochs).
+    per (feature space, hidden size, epochs) within the width rule.
     """
 
     train: Dataset
@@ -411,23 +424,34 @@ def _search(
     return best
 
 
+def _member_params(spec: FeatureSpec, hidden_size: int, num_classes: int) -> int:
+    """Parameters of one member: the width a member adds to a lockstep group."""
+    return sum(_expected_shapes(spec, hidden_size, num_classes).values())
+
+
 def _fit_groups(
     x: _Rows, y: np.ndarray, num_classes: int, spec: FeatureSpec, hypers, row_sets
 ) -> list[Model | TrainingDiverged]:
     """`_fit_many` over members that may differ in hidden size or epochs.
 
-    One lockstep loop per (hidden size, epochs); outcomes in the members' order.
+    One lockstep loop per (hidden size, epochs), split into loops of
+    ``_MAX_GROUP_PARAMS // member parameters`` members (at least one), so a
+    loop stacks at most that many parameters unless it trains one member.
+    Outcomes come in the members' order.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, hyper in enumerate(hypers):
         groups.setdefault((hyper.hidden_size, hyper.epochs), []).append(i)
     outcomes: list = [None] * len(hypers)
-    for group in groups.values():
-        trained = _fit_many(
-            x, y, num_classes, spec, [hypers[i] for i in group], [row_sets[i] for i in group]
-        )
-        for i, outcome in zip(group, trained):
-            outcomes[i] = outcome
+    for (hidden, _), group in groups.items():
+        width = max(1, _MAX_GROUP_PARAMS // _member_params(spec, hidden, num_classes))
+        for at in range(0, len(group), width):
+            chunk = group[at : at + width]
+            trained = _fit_many(
+                x, y, num_classes, spec, [hypers[i] for i in chunk], [row_sets[i] for i in chunk]
+            )
+            for i, outcome in zip(chunk, trained):
+                outcomes[i] = outcome
     return outcomes
 
 
@@ -558,23 +582,33 @@ def variance_analysis(
     test_labels = task_data.test.labels()
     num_classes = task_data.test.num_classes
     x_test = task_data._matrix("test", member.feature_spec)
+    # As many first-level samples per lockstep group as the width rule allows,
+    # each sample's single model and m ensemble members counted.
+    samples = list(zip(plan.first_level, plan.second_level))
+    params = _member_params(member.feature_spec, hyper_base.hidden_size, num_classes)
+    per_group = max(1, _MAX_GROUP_PARAMS // ((m + 1) * params))
 
     singles: list[float] = []
     ensembles: list[float] = []
-    for first, second in zip(plan.first_level, plan.second_level):
-        # One lockstep group per first-level sample: the single model, then its
-        # ensemble's members, each seeded by the last sample of its chain.
-        chains = [(first,)] + [(first, s) for s in second]
-        fits = [(replace(hyper_base, seed=chain[-1].seed), chain) for chain in chains]
+    for at in range(0, n, per_group):
+        # Per first-level sample, the single model, then its ensemble's
+        # members, each seeded by the last sample of its chain. Only this
+        # group's models are held.
+        fits = [
+            (replace(hyper_base, seed=chain[-1].seed), chain)
+            for first, second in samples[at : at + per_group]
+            for chain in [(first,)] + [(first, s) for s in second]
+        ]
         models = task_data._train(member.feature_spec, fits)
         for model in models:
             if isinstance(model, TrainingDiverged):
                 raise model
-        single, *ensemble = (_pruned(model, member) for model in models)
-        preds = _argmax_predictions(single, x_test)
-        singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
-        winners = _test_vote(ensemble, task_data)
-        ensembles.append(evaluate(winners, test_labels, num_classes).metric(task_data.metric))
+        for i in range(0, len(models), m + 1):
+            single, *ensemble = (_pruned(model, member) for model in models[i : i + m + 1])
+            preds = _argmax_predictions(single, x_test)
+            singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
+            winners = _test_vote(ensemble, task_data)
+            ensembles.append(evaluate(winners, test_labels, num_classes).metric(task_data.metric))
 
     single_mean, single_std = mean_std(singles)
     ensemble_mean, ensemble_std = mean_std(ensembles)

@@ -17,10 +17,14 @@ size, epochs and row count in lockstep. Their parameters are stacked on a
 leading member axis, each step gathers every member's batch at once (member
 m's columns offset by m * dims), and one call of `_loss_and_grads` steps them
 all, writing the gradients into buffers the loop keeps for the whole call.
-Each member keeps its own seeded stream for initialization and batch
-order, and every sum adds the same terms in the same order as it would
-alone, so a member trained in a group is bit-identical to the same member
-trained by itself.
+The gather writes the batch's entries and the class-major index arrays of
+its sparse products into a workspace the loop also keeps, grown only when a
+step needs more entries than any before it. Both products of a step, ``x @
+w`` and ``x.T @ d``, have the same width and read the same two index arrays:
+the cells one sums into are the positions the other reads from. Each member
+keeps its own seeded stream for initialization and batch order, and every
+sum adds the same terms in the same order as it would alone, so a member
+trained in a group is bit-identical to the same member trained by itself.
 
 Parameters live in named flat float64 arrays. A flat index maps to the 2-D
 weight position row-major: ``out_weight[k]`` is row ``k // C``, column
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zipfile
 import zlib
 from array import array
@@ -188,6 +193,45 @@ def _ngram_counts(example: Example, spec: FeatureSpec, memo: dict) -> dict[int, 
     return counts
 
 
+class _Workspace:
+    """Named flat arrays kept across calls, each grown on demand to the largest size asked.
+
+    A call gets a view of an array's first entries, reshaped, so it stays
+    contiguous. A training loop keeps one workspace for all its steps, and an
+    array is allocated again only when a step needs more entries than every
+    step before it; a fresh workspace allocates exactly what one call needs.
+    """
+
+    def __init__(self):
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64,
+                 make=np.empty) -> np.ndarray:
+        """The first entries of array ``name``, grown with ``make(size, dtype=dtype)``."""
+        size = math.prod(shape)
+        arr = self.arrays.get(name)
+        if arr is None or arr.size < size:
+            arr = self.arrays[name] = make(size, dtype=dtype)
+        return arr[:size].reshape(shape)
+
+
+def _class_major(idx: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """``j + idx * k`` in row j of the ``(k, len(idx))`` array ``out``: flat cells, class-major."""
+    np.multiply(idx, k, out=out[0])
+    np.add(out[0], np.arange(1, k)[:, None], out=out[1:])
+    return out
+
+
+def _cells(row: np.ndarray, col: np.ndarray, k: int, work: _Workspace) -> tuple[np.ndarray, ...]:
+    """The class-major row cells, column cells and a products array of a k-wide product."""
+    shape = (k, len(row))
+    return (
+        _class_major(row, k, work("row_cells", shape, np.int64)),
+        _class_major(col, k, work("col_cells", shape, np.int64)),
+        work("products", shape),
+    )
+
+
 class _Rows:
     """Hashed counts, one entry per nonzero count, row by row, columns ascending.
 
@@ -195,10 +239,16 @@ class _Rows:
     ``row[i]`` of a zero matrix in storage order i, so that order alone fixes
     every float of a fit. The product lays its terms out class-major, one
     slice of all entries per output column j, and sums them with
-    ``np.bincount`` over the flat cells ``row * k + j``: a cell takes terms
+    ``np.bincount`` over the flat cells ``j + row * k``: a cell takes terms
     from its own slice only, and each slice lists the entries in storage
     order. ``.T`` swaps ``row`` and ``col`` and moves no entry, so ``x.T @ d``
-    keeps the order; ``x[rows]`` keeps each row's entries in order.
+    keeps the order; a gather keeps each row's entries in order.
+
+    ``w`` is read at the flat positions ``j + col * k``. For one width k the
+    cells of ``x @ w`` are the positions ``x.T @ d`` reads ``d`` at, and the
+    other way round, so a matrix may carry both index arrays (``cells``,
+    with a products array), built once and shared by its transpose; a
+    product of another width builds its own.
 
     ``indptr`` holds the row pointers (row r's entries are
     ``indptr[r]:indptr[r + 1]``) that a gather reads. A design matrix and
@@ -213,50 +263,79 @@ class _Rows:
         col: np.ndarray,
         shape: tuple[int, int],
         indptr: np.ndarray | None = None,
+        cells: tuple[np.ndarray, ...] | None = None,
     ):
         self.data, self.row, self.col, self.shape, self.indptr = data, row, col, shape, indptr
+        self.cells = cells
 
     @property
     def T(self) -> _Rows:
-        return _Rows(self.data, self.col, self.row, self.shape[::-1])
+        cells = None if self.cells is None else (self.cells[1], self.cells[0], self.cells[2])
+        return _Rows(self.data, self.col, self.row, self.shape[::-1], cells=cells)
 
     def __getitem__(self, rows: np.ndarray) -> _Rows:
-        if self.indptr is None:
-            raise ValueError("rows can only be gathered from a matrix with row pointers")
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        ends = counts.cumsum()
-        take = (starts - ends + counts).repeat(counts) + np.arange(counts.sum())
-        return _Rows(
-            self.data[take],
-            np.arange(len(rows)).repeat(counts),
-            self.col[take],
-            (len(rows), self.shape[1]),
-            np.concatenate(([0], ends)),
-        )
+        return self.gather(rows)
 
-    def lockstep(self, rows: np.ndarray, members: int) -> _Rows:
+    def gather(
+        self, rows: np.ndarray, members: int = 1, k: int | None = None,
+        work: _Workspace | None = None,
+    ) -> _Rows:
         """``self[rows]`` where ``rows`` holds an equal run of rows per member, in turn.
 
         Member m's columns are offset by ``m * width``, so one product with the
         members' weights stacked into ``(members * width, k)`` serves them all,
-        and each member's entries keep their storage order.
+        and each member's entries keep their storage order. With ``k`` the
+        result carries its k-wide cells. Its data, columns and cells are views
+        of ``work``'s arrays (a fresh workspace's without it), valid until the
+        next gather into the same workspace.
         """
-        x = self[rows]
-        bounds = x.indptr[:: len(rows) // members]
-        x.col += np.repeat(np.arange(members) * self.shape[1], bounds[1:] - bounds[:-1])
-        x.shape = (len(rows), members * self.shape[1])
-        return x
+        if self.indptr is None:
+            raise ValueError("rows can only be gathered from a matrix with row pointers")
+        work = _Workspace() if work is None else work
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        ends = counts.cumsum()
+        nnz = int(ends[-1]) if len(rows) else 0
+        arange = work("arange", (max(nnz, len(rows)),), np.int64, np.arange)
+        # Each entry's row, the one entry-sized array a gather allocates:
+        # np.repeat has no out, and a prefix sum into a kept array took three
+        # times as long.
+        row = arange[: len(rows)].repeat(counts)
+        # Entry i of gathered row r is entry i + starts[r] - (ends[r] - counts[r])
+        # of self. The positions are spent before the column cells are built,
+        # so they borrow that array. mode="wrap" writes straight into out; the
+        # default mode buffers it.
+        take = np.take(starts - ends + counts, row, out=work("col_cells", (nnz,), np.int64),
+                       mode="wrap")
+        take += arange[:nnz]
+        data = np.take(self.data, take, out=work("data", (nnz,)), mode="wrap")
+        col = np.take(self.col, take, out=work("col", (nnz,), np.int64), mode="wrap")
+        if members > 1:
+            member = np.floor_divide(row, len(rows) // members, out=take)
+            col += np.multiply(member, self.shape[1], out=member)
+        return _Rows(
+            data,
+            row,
+            col,
+            (len(rows), members * self.shape[1]),
+            np.concatenate(([0], ends)),
+            None if k is None else _cells(row, col, k, work),
+        )
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         # Class-major: slice j holds every entry's term for output column j,
         # in storage order, so each pass runs over contiguous entries. The
         # weights are read by flat index, which copies no part of w.
         k = w.shape[1]
-        j = np.arange(k)[:, None]
-        cells = (j + self.row * k).ravel()
-        products = (w.reshape(-1).take(j + self.col * k) * self.data).ravel()
-        sums = np.bincount(cells, weights=products, minlength=self.shape[0] * k)
+        cells = self.cells
+        if cells is None or cells[0].shape[0] != k:
+            cells = _cells(self.row, self.col, k, _Workspace())
+        sum_at, read_at, products = cells
+        np.take(w.reshape(-1), read_at, out=products, mode="wrap")
+        np.multiply(products, self.data, out=products)
+        sums = np.bincount(
+            sum_at.reshape(-1), weights=products.reshape(-1), minlength=self.shape[0] * k
+        )
         return sums.reshape(self.shape[0], k)
 
 
@@ -317,7 +396,7 @@ def _forward(
 
     Each params array stacks M members' flat arrays as rows, and ``x`` holds
     an equal number of rows per member, one member after another (see
-    `_Rows.lockstep`). Both results are (M, rows per member, width).
+    `_Rows.gather`). Both results are (M, rows per member, width).
     """
     members = params["out_bias"].shape[0]
     hidden = None
@@ -447,8 +526,12 @@ def _fit_many(
     permutation per epoch, so it sees exactly the batches it would see alone.
     The parameters are stacked on a leading member axis, and each step
     gathers every member's batch rows in one gather and writes the gradients
-    into buffers kept for the whole call. A member whose loss goes non-finite
-    is dropped with its error and the others go on.
+    into buffers kept for the whole call. The gather writes into a workspace
+    also kept for the call: the batch's entries and, built once per step, the
+    index arrays both sparse products read (k is the hidden size, or the
+    class count for logistic regression), so the storage-order rule of
+    `_Rows` holds for both. A member whose loss goes non-finite is dropped
+    with its error and the others go on.
     """
     n = len(row_sets[0])
     if n == 0:
@@ -464,19 +547,21 @@ def _fit_many(
         for name, arr in _init_params(spec, hyper, num_classes, rng).items():
             params.setdefault(name, np.empty((len(hypers), arr.size)))[m] = arr
     grads = {name: np.empty_like(arr) for name, arr in params.items()}
-    rows = np.stack(row_sets)
+    work, width = _Workspace(), hidden or num_classes
+    order = np.empty((len(hypers), n), dtype=np.intp)  # each member's rows, this epoch
     lr = np.array([[h.learning_rate] for h in hypers])
     l2 = np.array([h.l2 for h in hypers])
     live = np.arange(len(hypers))  # which member each stacked row is
     outcomes: list[Model | TrainingDiverged | None] = [None] * len(hypers)
 
     for epoch in range(epochs):
-        order = np.stack([member_rows[rng.permutation(n)] for member_rows, rng in zip(rows, rngs)])
+        for i, (member, rng) in enumerate(zip(live, rngs)):
+            order[i] = row_sets[member][rng.permutation(n)]
         for start in range(0, n, _BATCH_SIZE):
             batch = order[:, start : start + _BATCH_SIZE].ravel()
             loss, _ = _loss_and_grads(
-                params, x.lockstep(batch, len(live)), y[batch], num_classes, hidden, l2,
-                out=grads,
+                params, x.gather(batch, len(live), width, work), y[batch], num_classes, hidden,
+                l2, out=grads,
             )
             finite = np.isfinite(loss)
             if not finite.all():
@@ -487,9 +572,7 @@ def _fit_many(
                     )
                 params = {name: arr[finite] for name, arr in params.items()}
                 grads = {name: arr[finite] for name, arr in grads.items()}
-                rows, order, rngs, live, lr, l2 = (
-                    a[finite] for a in (rows, order, rngs, live, lr, l2)
-                )
+                order, rngs, live, lr, l2 = (a[finite] for a in (order, rngs, live, lr, l2))
                 if not len(live):
                     return outcomes
             # In place, so the update makes no parameter-sized temporaries.

@@ -306,9 +306,35 @@ class TestVariance:
         )
         assert code == EXIT_OK
         assert calls["make_plan"] + cli_calls["make_plan"] == 1
-        # Every single model and ensemble member, one lockstep loop per first-level sample.
+        # Every single model and ensemble member, as many first-level samples
+        # per lockstep loop as the width rule allows.
         assert sum(size for size, _ in groups) == 3 + 3 * 2
-        assert len(groups) == 3
+        per_loop = max(1, experiment._MAX_GROUP_PARAMS // (3 * (256 * 2 + 2)))
+        assert len(groups) == -(-3 // per_loop)
+
+    @pytest.mark.parametrize("per_loop", [1, 2])
+    def test_split_groups_give_the_same_report(self, toy_workspace, tmp_path, monkeypatch,
+                                               per_loop):
+        def variance(out_dir):
+            code = run_cli(
+                "variance",
+                "--task", "topics2",
+                "--data", toy_workspace / "data",
+                "--out", out_dir,
+                "--dims", 256,
+                "--n", 5,
+                "--m", 2,
+            )
+            assert code == EXIT_OK
+            return (out_dir / "variance_topics2.csv").read_bytes()
+
+        whole = variance(tmp_path / "whole")
+        groups = lockstep_groups(monkeypatch)
+        # A cap that fits per_loop first-level samples of 3 logreg-256 fits each.
+        monkeypatch.setattr(experiment, "_MAX_GROUP_PARAMS", per_loop * 3 * (256 * 2 + 2))
+        assert variance(tmp_path / "split") == whole
+        sizes = [size for size, _ in groups]
+        assert sizes == [3 * per_loop] * (5 // per_loop) + [3] * (5 % per_loop)
 
     def test_n_one_is_usage_error(self, toy_workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:

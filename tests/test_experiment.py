@@ -435,6 +435,69 @@ class TestVarianceAnalysis:
         assert report.task == "f1three"
 
 
+def recording_groups(monkeypatch):
+    """Record each lockstep loop experiment runs: its member count and stacked parameters."""
+    groups = []
+    real_fit_many = experiment._fit_many
+
+    def fit_many(x, y, num_classes, spec, hypers, row_sets):
+        params = experiment._member_params(spec, hypers[0].hidden_size, num_classes)
+        groups.append((len(hypers), len(hypers) * params))
+        return real_fit_many(x, y, num_classes, spec, hypers, row_sets)
+
+    monkeypatch.setattr(experiment, "_fit_many", fit_many)
+    return groups
+
+
+class TestWidthRule:
+    """No lockstep group stacks more than _MAX_GROUP_PARAMS parameters, unless it trains one."""
+
+    CAP = 3000  # 5 logreg-256 members (514 parameters each), and no MLP at 1024 x 4
+
+    def test_no_group_exceeds_the_cap(self, task_acc, monkeypatch):
+        monkeypatch.setattr(experiment, "_MAX_GROUP_PARAMS", self.CAP)
+        groups = recording_groups(monkeypatch)
+        quick = Hyperparams(epochs=2)
+        wide_mlp = member("mlp", bagged=True, hyper=Hyperparams(hidden_size=4, epochs=2),
+                          spec=FeatureSpec(dims=1024))
+        config = EnsembleConfig("bag", "homo", (member(bagged=True),) * 7, ("acc2",),
+                                base_seed=3)
+        run_config(config, {"acc2": fresh(task_acc)})
+        variance_analysis(fresh(task_acc), member(bagged=True, hyper=quick), n=3, m=2,
+                          base_seed=5)
+        variance_analysis(fresh(task_acc), wide_mlp, n=2, m=1, base_seed=5)
+        assert all(size == 1 or params <= self.CAP for size, params in groups)
+        # The search's 4 candidates, the 7 members split 5 + 2, one loop per
+        # first-level sample of 3 logreg fits, and 4 MLP members one by one.
+        assert [size for size, _ in groups] == [4, 5, 2, 3, 3, 3, 1, 1, 1, 1]
+
+    def test_split_outcomes_in_member_order(self, task_acc, monkeypatch):
+        monkeypatch.setattr(experiment, "_MAX_GROUP_PARAMS", 2 * (256 * 2 + 2))
+        groups = recording_groups(monkeypatch)
+        x, y = _design_matrix(task_acc.train, SPEC), task_acc.train.labels()
+        n = len(task_acc.train)
+        hypers = [
+            Hyperparams(learning_rate=lr, epochs=epochs, seed=seed)
+            for lr, epochs, seed in (
+                (0.5, 3, 1), (0.1, 3, 2), (1e6, 30, 3), (0.5, 3, 4), (0.5, 30, 5), (0.3, 3, 6),
+                (0.5, 3, 7),
+            )
+        ]
+        row_sets = [np.array(bootstrap(n, 50 + i).indices) for i in range(len(hypers))]
+        outcomes = experiment._fit_groups(x, y, 2, SPEC, hypers, row_sets)
+        assert [size for size, _ in groups] == [2, 2, 1, 2]  # epochs 3: 5 members; 30: 2
+        for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
+            try:
+                alone = _fit_rows(x[rows], y[rows], 2, SPEC, hyper)
+            except TrainingDiverged as exc:
+                assert str(outcome) == str(exc)
+                continue
+            assert outcome.hyper == hyper
+            for name in alone.params:
+                assert np.array_equal(outcome.params[name], alone.params[name]), name
+        assert isinstance(outcomes[2], TrainingDiverged)
+
+
 class TestEquivalenceGroup:
     BASELINES = [304, 355, 774, 1558]
 

@@ -14,6 +14,7 @@ from bagkit.predictor import (
     _init_params,
     _loss_and_grads,
     _one,
+    _Workspace,
     featurize,
     fit,
     initialize,
@@ -423,10 +424,15 @@ class TestDesignMatrix:
         rng = np.random.default_rng(10 + k)
         w = rng.normal(size=(members * dims, k))
         d = rng.normal(size=(len(pick), k))
-        x = _design_matrix(exs, self.SPEC).lockstep(pick, members)
-        assert x.shape == (len(pick), members * dims)
-        assert np.array_equal(x @ w, _storage_order_products(rows, w))
-        assert np.array_equal(x.T @ d, _storage_order_transposed(rows, d, members * dims))
+        matrix = _design_matrix(exs, self.SPEC)
+        # A step's gather: into a workspace a longer and a shorter gather used before.
+        work = _Workspace()
+        for before in (np.arange(len(exs)).repeat(3), pick[:2]):
+            matrix.gather(before, 1, k, work)
+        for x in (matrix.gather(pick, members), matrix.gather(pick, members, k, work)):
+            assert x.shape == (len(pick), members * dims)
+            assert np.array_equal(x @ w, _storage_order_products(rows, w))
+            assert np.array_equal(x.T @ d, _storage_order_transposed(rows, d, members * dims))
 
     def test_gather_needs_row_pointers(self):
         x = _design_matrix(self.examples(), self.SPEC)
@@ -501,7 +507,7 @@ class TestGradientBuffers:
         batch = np.array([4, 0, 9, 9, 17, 3])  # three rows per member
         l2 = np.array([1e-4, 1e-2])
         cases = (
-            (stacked, x.lockstep(batch, 2), y[batch], l2),
+            (stacked, x.gather(batch, 2, 2, _Workspace()), y[batch], l2),
             ({n: a[0] for n, a in stacked.items()}, x[batch], y[batch], 1e-3),
         )
         for params, rows, labels, reg in cases:
@@ -540,6 +546,104 @@ class TestGradientBuffers:
         for model in (outcomes[0], outcomes[2]):
             for arr in model.params.values():
                 assert not any(np.shares_memory(arr, buf) for buf in kept.values())
+
+
+class TestStepWorkspace:
+    """The step's kept workspaces: wide groups equal solo fits and no model keeps a workspace."""
+
+    SPEC = FeatureSpec(dims=256)
+
+    def task(self):
+        td = synthetic_task("steps", seed=8, n_train=75, n_val=20, n_test=20)
+        examples = list(td.train)
+        # One row far longer than the rest (about 8 entries each).
+        long_text = " ".join(f"w{i}" for i in range(150))
+        examples[10] = Example(id="long", text_a=long_text, label=examples[10].label)
+        train = Dataset("steps", tuple(examples), 2)
+        return _design_matrix(train, self.SPEC), train.labels()
+
+    def members(self, x, count, hidden):
+        n = x.shape[0]
+        longest = int(np.argmax(np.diff(x.indptr)))
+        hypers, row_sets = [], []
+        for i in range(count):
+            rows = np.array(bootstrap(n, 70 + i).indices)
+            lr, l2 = (0.5, 1e-4) if i % 3 else (0.2, 0.0)
+            if i == 0:
+                rows[: 2 * n // 3] = longest  # whole batches of the longest row
+            if i == 3:
+                lr, l2 = 1e40, 1.0  # diverges at epoch 1, batch offset 32
+            hypers.append(Hyperparams(learning_rate=lr, l2=l2, epochs=3, hidden_size=hidden,
+                                      seed=i))
+            row_sets.append(rows)
+        return hypers, row_sets
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    @pytest.mark.parametrize("count", [1, 6, 60])
+    def test_wide_groups_equal_solo_fits(self, count, hidden):
+        x, y = self.task()
+        hypers, row_sets = self.members(x, count, hidden)
+        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
+            (alone,) = _fit_many(x, y, 2, self.SPEC, (hyper,), (rows,))
+            if isinstance(alone, TrainingDiverged):
+                assert str(outcome) == str(alone)
+                assert "epoch 1, batch offset 32" in str(alone)
+                continue
+            assert outcome.hyper == hyper
+            for name in alone.params:
+                assert np.array_equal(outcome.params[name], alone.params[name]), name
+        assert sum(isinstance(o, TrainingDiverged) for o in outcomes) == (count > 3)
+
+    def test_models_do_not_share_a_workspace(self, monkeypatch):
+        from bagkit import predictor
+
+        workspaces = []
+
+        class Recorded(predictor._Workspace):
+            def __init__(self):
+                super().__init__()
+                workspaces.append(self)
+
+        monkeypatch.setattr(predictor, "_Workspace", Recorded)
+        x, y = self.task()
+        hypers, row_sets = self.members(x, 6, 4)
+        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        kept = [arr for work in workspaces for arr in work.arrays.values()]
+        assert {"arange", "data", "col", "row_cells", "col_cells", "products"} <= {
+            name for work in workspaces for name in work.arrays
+        }
+        for model in outcomes:
+            if isinstance(model, TrainingDiverged):
+                continue
+            for arr in model.params.values():
+                assert not any(np.shares_memory(arr, buf) for buf in kept)
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    def test_both_products_read_the_same_index_arrays(self, hidden, monkeypatch):
+        from bagkit import predictor
+
+        products, built = [], []
+        real_matmul, real_class_major = predictor._Rows.__matmul__, predictor._class_major
+
+        def matmul(self, w):
+            products.append(self.cells)
+            return real_matmul(self, w)
+
+        def class_major(*args):
+            built.append(args[0])
+            return real_class_major(*args)
+
+        monkeypatch.setattr(predictor._Rows, "__matmul__", matmul)
+        monkeypatch.setattr(predictor, "_class_major", class_major)
+        x, y = self.task()
+        hypers, row_sets = self.members(x, 2, hidden)
+        _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        steps = 3 * 3  # 75 rows in batches of 32, three epochs
+        assert len(products) == 2 * steps and len(built) == 2 * steps
+        for forward, backward in zip(products[::2], products[1::2]):
+            assert forward[0] is backward[1] and forward[1] is backward[0]
+            assert forward[2] is backward[2]
 
 
 class TestGradients:
