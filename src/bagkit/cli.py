@@ -96,6 +96,8 @@ def cmd_run(args) -> int:
         print(f"wrote {out_dir / RESULTS_NAME} ({len(results)} row(s))")
         _print_top(results, args.top)
 
+    for task, message in task_errors.items():
+        print(f"error: task {task!r}: {message}", file=sys.stderr)
     for config_id, message in failures:
         print(f"FAILED {config_id}: {message}", file=sys.stderr)
     if failures:

@@ -42,6 +42,18 @@ class Example:
         # Canonicalize: an empty second text means "no second text".
         if self.text_b == "":
             object.__setattr__(self, "text_b", None)
+        # Features hash a text's UTF-8 bytes, and a lone surrogate (which a
+        # JSON \ud800 escape can carry) has none.
+        for name in ("text_a", "text_b"):
+            text = getattr(self, name)
+            if text is not None and not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(
+                        f"example {self.id!r}: {name} is not valid Unicode at position "
+                        f"{exc.start}: {exc.reason}"
+                    ) from None
 
 
 @dataclass(frozen=True)

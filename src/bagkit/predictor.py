@@ -7,10 +7,15 @@ Two built-in learners share one parameter layout and training loop:
 
 Text is tokenized by whitespace, word n-grams up to ``ngram_max`` are hashed
 into a power-of-two feature space with a stable keyed hash (text_a and text_b
-get distinct field salts), and counts are used as-is. Training is plain
-mini-batch gradient descent on softmax cross-entropy with an L2 penalty on
-weight matrices (biases are not penalized). Everything is derived from the
-hyperparameter seed, so a fit is bit-reproducible.
+get distinct field salts), and counts are used as-is. One build,
+`_design_matrix`, featurizes many examples at once: per field, tokens become
+integer ids and n-grams integer keys, each distinct n-gram is hashed once,
+and one sort sums the counts of each (row, column) cell. `featurize` is that
+build for a single example.
+
+Training is plain mini-batch gradient descent on softmax cross-entropy with
+an L2 penalty on weight matrices (biases are not penalized). Everything is
+derived from the hyperparameter seed, so a fit is bit-reproducible.
 
 The training loop, `_fit_many`, trains a group of members that share hidden
 size, epochs and row count in lockstep. Their parameters are stacked on a
@@ -35,12 +40,14 @@ and serialization is hidden_weight, hidden_bias, out_weight, out_bias.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 import zipfile
 import zlib
-from array import array
-from collections.abc import Iterable
+from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -160,37 +167,13 @@ def _tokens(text: str, lowercase: bool) -> list[str]:
     return (text.lower() if lowercase else text).split()
 
 
-def _hash_index(key: str, dims: int) -> int:
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") & (dims - 1)
-
-
 def featurize(example: Example, spec: FeatureSpec) -> dict[int, int]:
-    """Map an example to sparse hashed n-gram counts (feature index -> count)."""
-    return _ngram_counts(example, spec, {})
+    """Map an example to sparse hashed n-gram counts (feature index -> count).
 
-
-def _ngram_counts(example: Example, spec: FeatureSpec, memo: dict) -> dict[int, int]:
-    """featurize, with ``memo`` holding the columns of n-grams already hashed in this spec.
-
-    The memo is looked up per field and order by the n-gram's words alone, so
-    the salted key string that is hashed is built only for an n-gram not seen
-    before.
+    A one-row `_design_matrix`, read back with its keys in ascending order.
     """
-    counts: dict[int, int] = {}
-    for salt, text in (("a", example.text_a), ("b", example.text_b)):
-        if not text:
-            continue
-        toks = _tokens(text, spec.lowercase)
-        for n in range(1, spec.ngram_max + 1):
-            seen = memo.setdefault((salt, n), {})
-            grams = toks if n == 1 else map(" ".join, zip(*(toks[j:] for j in range(n))))
-            for gram in grams:
-                idx = seen.get(gram)
-                if idx is None:
-                    idx = seen[gram] = _hash_index(salt + _FIELD_SEP + gram, spec.dims)
-                counts[idx] = counts.get(idx, 0) + 1
-    return counts
+    x = _design_matrix((example,), spec)
+    return dict(zip(x.col.tolist(), x.data.astype(np.int64).tolist()))
 
 
 class _Workspace:
@@ -250,28 +233,37 @@ class _Rows:
     with a products array), built once and shared by its transpose; a
     product of another width builds its own.
 
-    ``indptr`` holds the row pointers (row r's entries are
-    ``indptr[r]:indptr[r + 1]``) that a gather reads. A design matrix and
-    its gathers have them; a transpose has none, and gathering from it
-    raises.
+    A design matrix stores ``data``, ``col`` and the row pointers ``indptr``
+    (row r's entries are ``indptr[r]:indptr[r + 1]``), which a gather reads,
+    and no per-entry row array: ``row`` derives each entry's row from the
+    pointers when a product or a transpose needs it. A gather keeps the rows
+    it computes along with its own pointers. A transpose keeps its rows (the
+    columns it swapped) but no pointers, and gathering from it raises.
     """
 
     def __init__(
         self,
         data: np.ndarray,
-        row: np.ndarray,
         col: np.ndarray,
         shape: tuple[int, int],
         indptr: np.ndarray | None = None,
+        row: np.ndarray | None = None,
         cells: tuple[np.ndarray, ...] | None = None,
     ):
-        self.data, self.row, self.col, self.shape, self.indptr = data, row, col, shape, indptr
-        self.cells = cells
+        self.data, self.col, self.shape, self.indptr = data, col, shape, indptr
+        self._row, self.cells = row, cells
+
+    @property
+    def row(self) -> np.ndarray:
+        """Each entry's row: the kept one, or repeated from the row pointers."""
+        if self._row is None:
+            return np.arange(self.shape[0]).repeat(np.diff(self.indptr))
+        return self._row
 
     @property
     def T(self) -> _Rows:
         cells = None if self.cells is None else (self.cells[1], self.cells[0], self.cells[2])
-        return _Rows(self.data, self.col, self.row, self.shape[::-1], cells=cells)
+        return _Rows(self.data, self.row, self.shape[::-1], row=self.col, cells=cells)
 
     def __getitem__(self, rows: np.ndarray) -> _Rows:
         return self.gather(rows)
@@ -315,10 +307,10 @@ class _Rows:
             col += np.multiply(member, self.shape[1], out=member)
         return _Rows(
             data,
-            row,
             col,
             (len(rows), members * self.shape[1]),
             np.concatenate(([0], ends)),
+            row,
             None if k is None else _cells(row, col, k, work),
         )
 
@@ -340,27 +332,113 @@ class _Rows:
 
 
 def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
-    """One row of hashed counts per example, column indices sorted, with row pointers.
+    """One row of hashed counts per example, columns ascending, with row pointers.
 
-    Each distinct n-gram key is hashed once per build (a memo that lives only
-    for this call). Entries go into typed buffers, not lists of boxed numbers.
+    Every n-gram of every field becomes the cell key ``row * dims + column``
+    (`_field_cells`), and one sort of those keys sums the counts per cell: a
+    run of equal keys is one entry, in order of row and then of column.
     """
-    memo: dict = {}
-    data, col, lengths = array("d"), array("q"), array("q")
-    for ex in examples:
-        counts = _ngram_counts(ex, spec, memo)
-        for idx in sorted(counts):
-            col.append(idx)
-            data.append(counts[idx])
-        lengths.append(len(counts))
-    lengths = np.frombuffer(lengths, dtype=np.int64)
-    return _Rows(
-        np.frombuffer(data, dtype=np.float64),
-        np.repeat(np.arange(len(lengths)), lengths),
-        np.frombuffer(col, dtype=np.int64),
-        (len(lengths), spec.dims),
-        np.concatenate(([0], lengths.cumsum())),
-    )
+    examples = tuple(examples)
+    dims = spec.dims
+    keys = np.concatenate([
+        cells
+        for salt, field in (("a", "text_a"), ("b", "text_b"))
+        for cells in _field_cells([getattr(ex, field) for ex in examples], salt, spec)
+    ])
+    keys.sort()
+    starts = _run_starts(keys)
+    col, end = keys[starts], len(keys)
+    del keys
+    data = np.empty(len(starts))  # each run's length, its cell's count
+    np.subtract(starts[1:], starts[:-1], out=data[:-1])
+    data[-1:] = end - starts[-1:]
+    indptr = col.searchsorted(np.arange(len(examples) + 1) * dims)
+    col &= dims - 1
+    return _Rows(data, col, (len(examples), dims), indptr)
+
+
+def _field_cells(texts: list[str | None], salt: str, spec: FeatureSpec) -> Iterator[np.ndarray]:
+    """The cell key ``row * dims + column`` of each n-gram in one field's texts, per order.
+
+    Tokens become ids through one vocabulary in first-seen order, so a
+    token's id is already the dense id of its unigram. An order-n gram's key
+    is the dense id of its first n - 1 words times the vocabulary size plus
+    its last word's id. One sort per order finds the distinct keys, and a
+    binary search gives each occurrence its gram's dense id. Each distinct
+    gram's salted string is built once, as bytes, and hashed once (`_hashed`).
+    """
+    vocab: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    token_counts: list[int] = []
+
+    def token_ids(text: str | None) -> Iterator[int]:
+        toks = _tokens(text, spec.lowercase) if text else []
+        token_counts.append(len(toks))
+        return map(vocab.__getitem__, toks)
+
+    ids = np.fromiter(itertools.chain.from_iterable(map(token_ids, texts)), np.int64)
+    dims, vocab_size = spec.dims, len(vocab)
+    lengths = np.array(token_counts, dtype=np.int64)
+    ends = lengths.cumsum()
+    base = np.arange(len(lengths)) * dims  # each row's first cell key
+    head = (salt + _FIELD_SEP).encode("utf-8")
+    first = np.array([head + w.encode("utf-8") for w in vocab], dtype=object)
+    rest = np.array([b" " + w.encode("utf-8") for w in vocab], dtype=object)
+
+    def salted(start: np.ndarray, n: int) -> Iterator[bytes]:
+        """The key bytes hashed for each n-gram starting at a position in ``start``."""
+        grams = first[ids[start]]
+        for j in range(1, n):
+            grams = map(operator.add, grams, rest[ids[start + j]])
+        return grams
+
+    prev = ids  # the dense id of the (n - 1)-gram starting at each position
+    # This loop sets the build's peak memory, so each array goes as soon as
+    # it is spent.
+    for n in range(2, spec.ngram_max + 1):
+        opens = np.ones(len(ids), dtype=bool)  # no n-gram starts in a row's last n - 1 tokens
+        for j in range(1, n):
+            opens[(ends - j)[lengths >= j]] = False
+        at = np.flatnonzero(opens)  # where each n-gram starts, row by row
+        key = prev[at] * vocab_size
+        key += ids[at + n - 1]
+        distinct = np.sort(key)
+        distinct = distinct[_run_starts(distinct)]
+        dense = distinct.searchsorted(key)  # each n-gram's dense id
+        start = np.empty_like(distinct)
+        start[dense] = at  # where an occurrence of each distinct n-gram starts
+        del key, distinct
+        cols = _hashed(salted(start, n), len(start), dims)
+        del start
+        cols = cols[dense]
+        if n < spec.ngram_max:
+            prev = np.empty_like(ids)
+            prev[at] = dense
+        cells = base.repeat(np.maximum(lengths - (n - 1), 0))
+        cells += cols
+        del at, dense, cols
+        yield cells
+    # Unigrams last, when no other order's arrays are held; their dense ids
+    # are the token ids.
+    cells = base.repeat(lengths)
+    cells += _hashed(first, vocab_size, dims)[ids]
+    yield cells
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted array ``keys`` starts."""
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _hashed(grams: Iterable[bytes], count: int, dims: int) -> np.ndarray:
+    """The columns of ``count`` salted n-grams: 8-byte blake2b digests, little-endian, mod dims."""
+    cols = np.fromiter(
+        (hashlib.blake2b(gram, digest_size=8).digest() for gram in grams), "S8", count
+    ).view("<u8")
+    cols &= dims - 1
+    return cols.view(np.int64)
 
 
 def _init_params(

@@ -115,7 +115,7 @@ def bootstrap(dataset_size: int, seed: int) -> BootstrapSample:
     indices = rng.integers(0, dataset_size, size=dataset_size)
     return BootstrapSample(
         source_size=dataset_size,
-        indices=tuple(int(i) for i in indices),
+        indices=tuple(indices.tolist()),
         seed=seed,
     )
 

@@ -525,6 +525,58 @@ def test_non_utf8_input_is_located_io_error(toy_workspace, tmp_path, capsys, nam
     assert err.startswith("error: ") and str(path) in err
 
 
+def _write_task_files(task_dir, train_line_2):
+    """Valid train, val and test files for task t, with line 2 of train.jsonl replaced."""
+    for part, count in (("train", 8), ("val", 4), ("test", 4)):
+        labels = [("no", "yes")[i % 2] for i in range(count)]
+        lines = [
+            json.dumps({"id": f"{part}{i}", "text_a": f"alpha beta w{i}", "label": label})
+            for i, label in enumerate(labels)
+        ]
+        if part == "train":
+            lines[1] = train_line_2
+        (task_dir / f"{part}.jsonl").write_text("\n".join(lines) + "\n")
+
+
+# The file holds the JSON escape \ud800: it loads as a lone surrogate, which
+# has no UTF-8 bytes to hash.
+SURROGATE_LINE = '{"id": "train1", "text_a": "alpha beta \\ud800", "label": "yes"}'
+BAD_TRAIN_LINES = {
+    "surrogate": (SURROGATE_LINE, "example 'train1': text_a is not valid Unicode at position 11"),
+    "malformed": ('{"id": "train1", "text_a": ', "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAIN_LINES))
+def test_run_prints_the_located_load_error(tmp_path, capsys, case):
+    line, reason = BAD_TRAIN_LINES[case]
+    _write_task_dir(tmp_path / "data")
+    _write_task_files(tmp_path / "data" / "t", line)
+    _write_config(tmp_path / "configs.json")
+    code = run_cli(
+        "run", "--config", tmp_path / "configs.json", "--data", tmp_path / "data",
+        "--out", tmp_path / "out",
+    )
+    assert code == EXIT_PARTIAL
+    err = capsys.readouterr().err
+    located = f"{tmp_path / 'data' / 't' / 'train.jsonl'}:2: "
+    assert err.count(located) == 1 and reason in err
+    assert "FAILED c1: config 'c1': unavailable tasks ['t']" in err
+
+
+def test_variance_lone_surrogate_is_located_io_error(tmp_path, capsys):
+    _write_task_dir(tmp_path / "data")
+    _write_task_files(tmp_path / "data" / "t", SURROGATE_LINE)
+    code = run_cli(
+        "variance", "--task", "t", "--data", tmp_path / "data", "--out", tmp_path / "out",
+        "--n", 2, "--m", 1,
+    )
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.jsonl:2: " in err
+    assert BAD_TRAIN_LINES["surrogate"][1] in err
+
+
 def _model_meta(path):
     with np.load(path) as npz:
         return json.loads(str(npz["meta"][()])), {k: npz[k] for k in npz.files if k != "meta"}

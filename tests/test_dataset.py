@@ -47,6 +47,12 @@ class TestLoadJsonl:
         with pytest.raises(DataError, match=r":2:"):
             load_jsonl(path, 2, LABEL_MAP)
 
+    def test_lone_surrogate_names_line(self, jsonl_file):
+        recs = records()
+        recs[1]["text_a"] = "text \udc80 number"  # json.dumps writes it as the escape \\udc80
+        with pytest.raises(DataError, match=r"data.jsonl:2: example 'ex1': text_a .* position 5"):
+            load_jsonl(jsonl_file(recs), 2, LABEL_MAP)
+
     def test_duplicate_id(self, jsonl_file):
         rows = records(2)
         rows[1]["id"] = rows[0]["id"]
@@ -97,6 +103,16 @@ class TestExample:
     def test_negative_label_rejected(self):
         with pytest.raises(DataError):
             Example(id="x", text_a="hello", label=-1)
+
+    @pytest.mark.parametrize("field", ["text_a", "text_b"])
+    def test_lone_surrogate_rejected_naming_field_and_position(self, field):
+        texts = {"text_a": "alpha", "text_b": None, field: "alpha beta \ud800"}
+        with pytest.raises(DataError, match=f"'x': {field} is not valid Unicode at position 11"):
+            Example(id="x", label=0, **texts)
+
+    def test_non_ascii_text_accepted(self):
+        ex = Example(id="x", text_a="café 日本", label=0, text_b="naïve\u3000text")
+        assert ex.text_b == "naïve\u3000text"
 
 
 class TestSplit:

@@ -1,5 +1,10 @@
+import hashlib
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagkit.dataset import Dataset, Example
 from bagkit.errors import BagkitError, DataError, TrainingDiverged
@@ -441,6 +446,82 @@ class TestDesignMatrix:
             x.T[np.array([0, 1])]
 
 
+# The per-example featurization that `_design_matrix` replaced, kept unchanged
+# as the reference the vectorized build must equal, entry for entry.
+_FIELD_SEP = "\x1f"
+
+
+def _tokens(text: str, lowercase: bool) -> list[str]:
+    return (text.lower() if lowercase else text).split()
+
+
+def _hash_index(key: str, dims: int) -> int:
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") & (dims - 1)
+
+
+def _ngram_counts(example: Example, spec: FeatureSpec, memo: dict) -> dict[int, int]:
+    """featurize, with ``memo`` holding the columns of n-grams already hashed in this spec.
+
+    The memo is looked up per field and order by the n-gram's words alone, so
+    the salted key string that is hashed is built only for an n-gram not seen
+    before.
+    """
+    counts: dict[int, int] = {}
+    for salt, text in (("a", example.text_a), ("b", example.text_b)):
+        if not text:
+            continue
+        toks = _tokens(text, spec.lowercase)
+        for n in range(1, spec.ngram_max + 1):
+            seen = memo.setdefault((salt, n), {})
+            grams = toks if n == 1 else map(" ".join, zip(*(toks[j:] for j in range(n))))
+            for gram in grams:
+                idx = seen.get(gram)
+                if idx is None:
+                    idx = seen[gram] = _hash_index(salt + _FIELD_SEP + gram, spec.dims)
+                counts[idx] = counts.get(idx, 0) + 1
+    return counts
+
+
+def reference_matrix(examples, spec):
+    """The reference build's ``(data, row, col, indptr)``: typed buffers, row by row."""
+    memo: dict = {}
+    data, col, lengths = array("d"), array("q"), array("q")
+    for ex in examples:
+        counts = _ngram_counts(ex, spec, memo)
+        for idx in sorted(counts):
+            col.append(idx)
+            data.append(counts[idx])
+        lengths.append(len(counts))
+    lengths = np.frombuffer(lengths, dtype=np.int64)
+    return (
+        np.frombuffer(data, dtype=np.float64),
+        np.repeat(np.arange(len(lengths)), lengths),
+        np.frombuffer(col, dtype=np.int64),
+        np.concatenate(([0], lengths.cumsum())),
+    )
+
+
+def assert_matches_reference(examples, spec, featurized=None):
+    """The build equals the reference in values and dtypes, and so does featurize.
+
+    featurize is checked on ``featurized`` (default: every example).
+    """
+    x = _design_matrix(examples, spec)
+    assert x.shape == (len(examples), spec.dims)
+    # Data, columns and row pointers are stored; rows are derived from the pointers.
+    assert {name for name, v in vars(x).items() if isinstance(v, np.ndarray)} == {
+        "data", "col", "indptr"
+    }
+    for got, want in zip((x.data, x.row, x.col, x.indptr), reference_matrix(examples, spec)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for ex in examples if featurized is None else featurized:
+        counts = featurize(ex, spec)
+        assert counts == _ngram_counts(ex, spec, {})
+        assert list(counts) == sorted(counts)
+        assert all(type(c) is int for c in counts.values())
+
+
 class TestKeyMemo:
     """_design_matrix hashes each key once per build; no column may change."""
 
@@ -456,10 +537,10 @@ class TestKeyMemo:
 
     @staticmethod
     def rebuild(examples, spec):
-        """Entries of the design matrix, rebuilt row by row from featurize alone."""
+        """Entries of the design matrix, rebuilt row by row by the reference featurization."""
         data, row, col = [], [], []
         for r, ex in enumerate(examples):
-            counts = featurize(ex, spec)
+            counts = _ngram_counts(ex, spec, {})
             for idx in sorted(counts):
                 data.append(float(counts[idx]))
                 row.append(r)
@@ -487,6 +568,66 @@ class TestKeyMemo:
         narrow = _design_matrix(exs, FeatureSpec(dims=16, ngram_max=2))
         wide = _design_matrix(exs, FeatureSpec(dims=1024, ngram_max=2))
         assert narrow.col.max() < 16 <= wide.col.max()
+
+
+# Words in mixed case and beyond ASCII (case folding changes "ẞ", "İ" and "Σ"
+# in length or form), and separators: none (the words run together) or runs
+# that str.split treats as whitespace.
+WORDS = ["a", "A", "b", "ab", "Ab", "ß", "ẞ", "İ", "Σσς", "日本", "é", "x1"]
+SEPS = ["", " ", "  ", "\t", "\n", "\u3000", "\xa0"]
+
+
+@st.composite
+def texts(draw):
+    """Up to seven words, each after a separator, then a separator: maybe only whitespace."""
+    parts = draw(st.lists(st.tuples(st.sampled_from(SEPS), st.sampled_from(WORDS)), max_size=7))
+    return "".join(sep + word for sep, word in parts) + draw(st.sampled_from(SEPS))
+
+
+@st.composite
+def example_lists(draw):
+    """Up to six examples; text_b absent, empty or a text."""
+    return [
+        Example(
+            id=f"e{i}",
+            text_a=draw(texts().filter(bool)),
+            label=0,
+            text_b=draw(st.one_of(st.none(), st.just(""), texts())),
+        )
+        for i in range(draw(st.integers(0, 6)))
+    ]
+
+
+class TestVectorBuild:
+    """The vectorized build equals the per-example reference it replaced."""
+
+    @given(
+        example_lists(),
+        st.sampled_from([2, 16, 1024]),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    def test_matches_reference(self, examples, dims, ngram_max, lowercase):
+        assert_matches_reference(examples, FeatureSpec(dims, ngram_max, lowercase))
+
+    @pytest.mark.parametrize("dims", [16, 32768])
+    def test_matches_reference_at_scale(self, dims):
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(300)] + [w.upper() for w in WORDS]
+
+        def text(low):
+            return " ".join(rng.choice(vocab, size=rng.integers(low, 14)))
+
+        examples = [
+            Example(id=f"e{i}", text_a=text(1), label=0, text_b=text(0)) for i in range(3000)
+        ]
+        assert_matches_reference(examples, FeatureSpec(dims=dims, ngram_max=3), examples[:100])
+
+    def test_no_examples(self):
+        x = _design_matrix([], FeatureSpec(dims=16, ngram_max=3))
+        assert x.shape == (0, 16) and x.indptr.tolist() == [0]
+        assert_matches_reference([], FeatureSpec(dims=16, ngram_max=3))
 
 
 class TestGradientBuffers:
