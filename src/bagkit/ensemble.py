@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset, Example
 from .errors import BagkitError
-from .predictor import Model, predict_proba, predict_proba_dataset
+from .predictor import Model, _design_matrix, _forward_proba, predict_proba_dataset
 
 __all__ = ["Ensemble", "soft_vote", "predict", "predict_dataset"]
 
@@ -58,8 +58,17 @@ def soft_vote(member_probs) -> tuple[int, np.ndarray]:
 
 
 def predict(ensemble: Ensemble, example: Example) -> tuple[int, np.ndarray]:
-    """Soft vote over the members' predicted probabilities for one example."""
-    probs = [predict_proba(member, example) for member in ensemble.members]
+    """Soft vote over the members' predicted probabilities for one example.
+
+    The example's one-row design matrix is built once per feature space
+    that members use, and each member reads it as `predict_proba` would.
+    """
+    rows: dict = {}
+    probs = []
+    for member in ensemble.members:
+        if member.spec not in rows:
+            rows[member.spec] = _design_matrix((example,), member.spec)
+        probs.append(_forward_proba(member, rows[member.spec])[0])
     return soft_vote(probs)
 
 

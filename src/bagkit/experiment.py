@@ -18,12 +18,17 @@ same feature space, hyperparameters (seed included) and bootstrap sample
 train once, and the shared model is dropped at its last use; pruning is
 applied per member afterwards.
 
-Members train in lockstep groups (`predictor._fit_many`), one loop per
-(feature space, hidden size, epochs): a grid search's candidates, and a
-configuration's members on one task that are not already trained. One width
-rule caps a group: it stacks at most `_MAX_GROUP_PARAMS` parameters, so a
-larger group is split, and a member larger than the cap trains alone. A
-member trained in a group is bit-identical to the same member trained alone.
+Members train in lockstep loops (`predictor._fit_many`). Members that share
+hidden size, epochs, row count and class count may share a loop, whatever
+their feature spaces or tasks: a smaller member is padded with zeros to the
+loop's widest. A batch runs every grid search it needs up front, all
+candidates of every task together; then each configuration's members on a
+task train in loops that also take the task's fits announced for later
+configurations. One width rule (`_loops`) forms the loops: a loop stacks at
+most `_MAX_GROUP_PARAMS` parameters, so a larger group is split and a member
+larger than the cap trains alone, and a join may add at most `_MAX_PADDING`
+padded parameters. A member trained in a loop is bit-identical to the same
+member trained alone.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
@@ -53,6 +58,7 @@ from .predictor import (
     _expected_shapes,
     _fit_many,
     _forward_proba,
+    _Member,
     _Rows,
     param_count,
 )
@@ -115,6 +121,16 @@ DEFAULT_SEARCH_SPACE = {
 # its 220 members in one group: peak memory went from 46 to 162 MB, and the
 # run took 1.4 times as long.
 _MAX_GROUP_PARAMS = 2**18
+
+# The most padded parameters one join may add to a lockstep loop (`_joins`):
+# about what one loop's fixed cost per step buys, since each step also passes
+# over every padded parameter. Measured on single_large's task (24,000 rows,
+# bigrams, one epoch; process time, median of 5, 2 cores, one BLAS thread), a
+# logreg-512 member joined to a wider logreg loop, against two loops: 0.177
+# against 0.239 s with logreg-2048 (3k padded), 0.203 against 0.242 s with
+# 8192 (15k), 0.286 against 0.267 s with 16384 (32k) and 0.450 against
+# 0.239 s with 32768 (65k).
+_MAX_PADDING = 2**15
 
 
 @dataclass(frozen=True)
@@ -237,11 +253,12 @@ class TaskData:
 
     Also holds what a batch derives from the task alone and reuses across
     members and configurations: one design matrix per (split, feature space),
-    one grid-search winner per (model kind, feature space), one variance plan,
-    and each unpruned model that more than one announced member asks for,
-    until the last of them has it. Each member prunes a copy. The rest lives
-    as long as the TaskData. Models are trained in lockstep groups, one loop
-    per (feature space, hidden size, epochs) within the width rule.
+    one label array per split, one grid-search winner per (model kind,
+    feature space), one variance plan, and each unpruned model that announced
+    members ask for, until the last of them has it. Each member prunes a
+    copy. The rest lives as long as the TaskData. A loop that trains the fits
+    one configuration asks for also trains the task's other announced fits
+    that fit in it, so later configurations find them held.
     """
 
     train: Dataset
@@ -261,43 +278,57 @@ class TaskData:
             self._cache[key] = _design_matrix(getattr(self, split), spec)
         return self._cache[key]
 
+    def _labels(self, split: str) -> np.ndarray:
+        """The labels of one split, built once: every lockstep member shares them."""
+        key = ("labels", split)
+        if key not in self._cache:
+            self._cache[key] = getattr(self, split).labels()
+        return self._cache[key]
+
+    def _search_request(self, kind: str, spec: FeatureSpec) -> tuple:
+        """The `_search` request for a model kind's grid search in one feature space."""
+        return (
+            DEFAULT_SEARCH_SPACE[kind],
+            self._matrix("train", spec),
+            self._labels("train"),
+            self._matrix("val", spec),
+            self._labels("val"),
+            self.train.num_classes,
+            self.metric,
+            spec,
+        )
+
     def _searched(self, kind: str, spec: FeatureSpec) -> Hyperparams:
         """The grid-search winner for a model kind; a search that diverges is not kept."""
-        key = ("search", kind, spec)
-        if key not in self._cache:
-            self._cache[key] = _search(
-                DEFAULT_SEARCH_SPACE[kind],
-                self._matrix("train", spec),
-                self.train.labels(),
-                self._matrix("val", spec),
-                self.val.labels(),
-                self.train.num_classes,
-                self.metric,
-                spec,
-            )
-        return self._cache[key]
+        (winner,) = _searched_all([(self, kind, spec)])
+        if isinstance(winner, TrainingDiverged):
+            raise winner
+        return winner
+
+    def _member(self, spec: FeatureSpec, hyper: Hyperparams, samples=()) -> _Member:
+        """A lockstep member on the rows of the training matrix a chain of samples draws.
+
+        Each sample of a chain addresses positions of the one before, so a
+        chain composes into one array of training-matrix rows; the empty
+        chain is every row.
+        """
+        rows = np.arange(len(self.train))
+        for sample in samples:
+            rows = rows[np.array(sample.indices)]
+        return _Member(
+            self._matrix("train", spec), self._labels("train"), self.train.num_classes, spec,
+            hyper, rows,
+        )
 
     def _train(self, spec: FeatureSpec, fits) -> list[Model | TrainingDiverged]:
         """Models trained in lockstep, one per (hyperparameters, chain of bootstrap samples).
 
-        Each sample of a chain addresses positions of the one before, so a
-        chain composes into one array of training-matrix rows; the empty
-        chain is every row. Nothing is kept.
+        Nothing is kept.
         """
-        row_sets = []
-        for _, samples in fits:
-            rows = np.arange(len(self.train))
-            for sample in samples:
-                rows = rows[np.array(sample.indices)]
-            row_sets.append(rows)
-        return _fit_groups(
-            self._matrix("train", spec),
-            self.train.labels(),
-            self.train.num_classes,
-            spec,
-            [hyper for hyper, _ in fits],
-            row_sets,
-        )
+        outcomes: list = [None] * len(fits)
+        for i, outcome in _fit_groups([self._member(spec, *fit) for fit in fits]):
+            outcomes[i] = outcome
+        return outcomes
 
     def _expect(self, spec: FeatureSpec, hyper: Hyperparams, sample_seed: int | None) -> None:
         """Announce one more batch member that will ask `_fitted` for this model."""
@@ -308,23 +339,38 @@ class TaskData:
         """Batch members' unpruned models, per (feature space, hyperparameters, sample seed).
 
         A sample seed of None is the full split. The fits not held train once
-        each, in lockstep groups. A model is kept only while
-        announced members still ask for it, and dropped at its last use; a
-        model nobody announced is not kept, nor is a diverged fit.
+        each, in lockstep loops (`_loops`), and each loop also takes the
+        announced fits not held yet that it has room for, nearest first in
+        announcement order; it holds them with their announced uses. An
+        outcome, a model or a divergence, is kept only while announced
+        members still ask for it, and dropped at its last use; an outcome
+        nobody announced is not kept.
         """
         models = {fit: self._cache.pop(("fit", *fit), None) for fit in dict.fromkeys(fits)}
         missing = [fit for fit, model in models.items() if model is None]
-        for spec in dict.fromkeys(spec for spec, _, _ in missing):
-            group = [fit for fit in missing if fit[0] == spec]
-            chains = [
-                (hyper, () if seed is None else (bootstrap(len(self.train), seed),))
-                for _, hyper, seed in group
+        if missing:
+            n = len(self.train)
+            ahead = [  # announced, neither asked for now nor held
+                key[1:] for key in self._cache
+                if key[0] == "uses" and key[1:] not in models
+                and ("fit", *key[1:]) not in self._cache
             ]
-            models.update(zip(group, self._train(spec, chains)))
+            everyone = missing + ahead
+            shapes = [_shape(spec, hyper, n, self.train.num_classes) for spec, hyper, _ in everyone]
+            for loop in _loops(shapes[: len(missing)], shapes[len(missing) :]):
+                members = [
+                    self._member(spec, hyper, () if seed is None else (bootstrap(n, seed),))
+                    for spec, hyper, seed in (everyone[i] for i in loop)
+                ]
+                for i, model in zip(loop, _fit_many(members)):
+                    if i < len(missing):
+                        models[everyone[i]] = model
+                    else:
+                        self._cache[("fit", *everyone[i])] = model
         for fit, model in models.items():
             asked = fits.count(fit)
             uses_left = self._cache.pop(("uses", *fit), asked) - asked
-            if uses_left > 0 and isinstance(model, Model):
+            if uses_left > 0:
                 self._cache[("fit", *fit)], self._cache[("uses", *fit)] = model, uses_left
         return [models[fit] for fit in fits]
 
@@ -380,8 +426,8 @@ def grid_search(
     Candidates are tried in order; exact ties keep the earliest. A candidate
     whose training diverges is skipped.
     """
-    return _search(
-        space,
+    request = (
+        tuple(space),
         _design_matrix(train, feature_spec),
         train.labels(),
         _design_matrix(val, feature_spec),
@@ -390,38 +436,65 @@ def grid_search(
         metric,
         feature_spec,
     )
+    (winner,) = _search([request])
+    if isinstance(winner, TrainingDiverged):
+        raise winner
+    return winner
 
 
-def _search(
-    space,
-    x_train: _Rows,
-    y_train: np.ndarray,
-    x_val: _Rows,
-    y_val: np.ndarray,
-    num_classes: int,
-    metric: str,
-    feature_spec: FeatureSpec,
-) -> Hyperparams:
-    """The grid-search loop over design matrices and labels already built."""
-    space = tuple(space)
-    if not space:
-        raise ConfigError("grid_search requires a non-empty hyperparameter space")
-    if metric not in METRIC_NAMES:
-        raise ConfigError(f"unknown metric {metric!r}")
-    best: Hyperparams | None = None
-    best_score = -np.inf
-    rows = np.arange(x_train.shape[0])
-    models = _fit_groups(x_train, y_train, num_classes, feature_spec, space, [rows] * len(space))
-    for hyper, model in zip(space, models):
+def _search(requests) -> list[Hyperparams | TrainingDiverged]:
+    """The grid-search loop: per request its winner, or the error if every candidate diverged.
+
+    A request is ``(space, x_train, y_train, x_val, y_val, num_classes,
+    metric, spec)`` over design matrices already built. Every candidate of
+    every request trains through `_fit_groups`, so the searches of several
+    tasks and feature spaces share lockstep loops, and each model is scored
+    on its own request's validation matrix as its loop ends. The winner has
+    the best score; exact ties go to the earlier candidate, and a candidate
+    whose training diverges is skipped.
+    """
+    members, owners = [], []
+    for r, (space, x_train, y_train, _, _, num_classes, metric, spec) in enumerate(requests):
+        if not space:
+            raise ConfigError("grid_search requires a non-empty hyperparameter space")
+        if metric not in METRIC_NAMES:
+            raise ConfigError(f"unknown metric {metric!r}")
+        rows = np.arange(x_train.shape[0])
+        members += (_Member(x_train, y_train, num_classes, spec, h, rows) for h in space)
+        owners += ((r, c) for c in range(len(space)))
+    best: dict[int, tuple[float, int]] = {}  # request -> (score, -candidate)
+    for i, model in _fit_groups(members):
         if isinstance(model, TrainingDiverged):
             continue
-        preds = _argmax_predictions(model, x_val)
-        score = evaluate(preds, y_val, num_classes).metric(metric)
-        if score > best_score:
-            best, best_score = hyper, score
-    if best is None:
-        raise TrainingDiverged("every candidate in the hyperparameter space diverged")
-    return best
+        r, c = owners[i]
+        _, _, _, x_val, y_val, num_classes, metric, _ = requests[r]
+        score = evaluate(_argmax_predictions(model, x_val), y_val, num_classes).metric(metric)
+        best[r] = max(best.get(r, (score, -c)), (score, -c))
+    return [
+        requests[r][0][-best[r][1]] if r in best
+        else TrainingDiverged("every candidate in the hyperparameter space diverged")
+        for r in range(len(requests))
+    ]
+
+
+def _searched_all(wanted) -> list[Hyperparams | TrainingDiverged]:
+    """Grid-search winners per (TaskData, model kind, feature space), in one `_search`.
+
+    A winner already held is reused; the others are searched together and
+    kept in their TaskData. A search that diverges is not kept.
+    """
+    held = [data._cache.get(("search", kind, spec)) for data, kind, spec in wanted]
+    todo = [want for want, winner in zip(wanted, held) if winner is None]
+    found = iter(_search([data._search_request(kind, spec) for data, kind, spec in todo])
+                 if todo else ())
+    winners = []
+    for (data, kind, spec), winner in zip(wanted, held):
+        if winner is None:
+            winner = next(found)
+            if not isinstance(winner, TrainingDiverged):
+                data._cache[("search", kind, spec)] = winner
+        winners.append(winner)
+    return winners
 
 
 def _member_params(spec: FeatureSpec, hidden_size: int, num_classes: int) -> int:
@@ -429,30 +502,66 @@ def _member_params(spec: FeatureSpec, hidden_size: int, num_classes: int) -> int
     return sum(_expected_shapes(spec, hidden_size, num_classes).values())
 
 
-def _fit_groups(
-    x: _Rows, y: np.ndarray, num_classes: int, spec: FeatureSpec, hypers, row_sets
-) -> list[Model | TrainingDiverged]:
-    """`_fit_many` over members that may differ in hidden size or epochs.
+def _shape(spec: FeatureSpec, hyper: Hyperparams, rows: int, num_classes: int) -> tuple:
+    """A member's lockstep key (the loops it may join) and its parameter count."""
+    key = (hyper.hidden_size, hyper.epochs, rows, num_classes)
+    return key, _member_params(spec, hyper.hidden_size, num_classes)
 
-    One lockstep loop per (hidden size, epochs), split into loops of
-    ``_MAX_GROUP_PARAMS // member parameters`` members (at least one), so a
-    loop stacks at most that many parameters unless it trains one member.
-    Outcomes come in the members' order.
+
+def _loops(shapes, extras=()) -> list[list[int]]:
+    """The width rule: the lockstep loops of members, as indices into ``shapes`` then ``extras``.
+
+    ``shapes`` and ``extras`` hold each member's `_shape`. Members share a
+    loop only under one key. Within a key, the members of one size train
+    together, in loops of ``_MAX_GROUP_PARAMS // size`` members (at least
+    one). Sizes go largest first, and the members of a size join the loop
+    before them, padded to its width, if `_joins` allows. Then each extra,
+    in order, joins the first loop of its key that `_joins` allows; no loop
+    trains extras alone.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, hyper in enumerate(hypers):
-        groups.setdefault((hyper.hidden_size, hyper.epochs), []).append(i)
-    outcomes: list = [None] * len(hypers)
-    for (hidden, _), group in groups.items():
-        width = max(1, _MAX_GROUP_PARAMS // _member_params(spec, hidden, num_classes))
-        for at in range(0, len(group), width):
-            chunk = group[at : at + width]
-            trained = _fit_many(
-                x, y, num_classes, spec, [hypers[i] for i in chunk], [row_sets[i] for i in chunk]
-            )
-            for i, outcome in zip(chunk, trained):
-                outcomes[i] = outcome
-    return outcomes
+    by_key: dict = {}
+    for i, (key, size) in enumerate(shapes):
+        by_key.setdefault(key, {}).setdefault(size, []).append(i)
+    loops: list[list] = []  # [key, width, member indices]
+    for key, sizes in by_key.items():
+        for size in sorted(sizes, reverse=True):
+            group = sizes[size]
+            if loops and loops[-1][0] == key and _joins(loops[-1], size, len(group)):
+                loops[-1][2] += group
+                continue
+            per = max(1, _MAX_GROUP_PARAMS // size)
+            loops += ([key, size, group[at : at + per]] for at in range(0, len(group), per))
+    for j, (key, size) in enumerate(extras, len(shapes)):
+        loop = next((loop for loop in loops if loop[0] == key and _joins(loop, size, 1)), None)
+        if loop is not None:
+            loop[1] = max(loop[1], size)
+            loop[2].append(j)
+    return [members for _, _, members in loops]
+
+
+def _joins(loop: list, size: int, count: int) -> bool:
+    """Whether ``count`` members of ``size`` parameters may join a loop.
+
+    The loop then stacks at most `_MAX_GROUP_PARAMS` parameters, and the
+    join adds at most `_MAX_PADDING` padded ones: the smaller members'
+    shortfall from the loop's widest, or the loop's members' from a wider
+    newcomer.
+    """
+    _, width, members = loop
+    padded = (len(members) + count) * max(width, size)
+    added = padded - len(members) * width - count * size
+    return padded <= _MAX_GROUP_PARAMS and added <= _MAX_PADDING
+
+
+def _fit_groups(members):
+    """`_fit_many` over members that may differ in anything: (index, outcome) per member.
+
+    The members train in the lockstep loops of the width rule (`_loops`),
+    and each loop's outcomes are yielded as it ends.
+    """
+    shapes = [_shape(m.spec, m.hyper, len(m.rows), m.num_classes) for m in members]
+    for loop in _loops(shapes):
+        yield from zip(loop, _fit_many([members[i] for i in loop]))
 
 
 def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | None]]:
@@ -494,24 +603,34 @@ def _member_fits(config: EnsembleConfig, task: str, task_data: TaskData):
 
 
 def _expect_fits(configs, data: dict[str, TaskData]) -> None:
-    """Announce every member of a batch to its TaskData before the batch runs.
+    """Search for, then announce, every member of a batch before the batch runs.
 
-    Then a model that several members share trains once and is dropped at
-    its last use. A configuration with an unknown task or a diverging grid
-    search announces nothing: it fails before any of its members train.
+    Every grid search the batch's configurations need runs first, all in
+    one `_search`. Then each member is announced to its TaskData, so a model
+    that several members share trains once and is dropped at its last use,
+    and a loop can train models announced for later configurations. A
+    configuration with an unknown task or a diverging grid search announces
+    nothing: it fails before any of its members train.
     """
+    configs = [c for c in configs if all(task in data for task in c.tasks)]
+    wanted = {
+        (task, m.model_kind, m.feature_spec): (data[task], m.model_kind, m.feature_spec)
+        for config in configs
+        for task in config.tasks
+        for m in config.members
+        if m.hyper_override is None
+    }
+    diverged = {
+        want for want, winner in zip(wanted, _searched_all(list(wanted.values())))
+        if isinstance(winner, TrainingDiverged)
+    }
     for config in configs:
-        if not all(task in data for task in config.tasks):
+        if any((task, m.model_kind, m.feature_spec) in diverged
+               for task in config.tasks for m in config.members):
             continue
-        try:
-            fits = [
-                (data[task], fit) for task in config.tasks
-                for fit in _member_fits(config, task, data[task])
-            ]
-        except TrainingDiverged:
-            continue
-        for task_data, fit in fits:
-            task_data._expect(*fit)
+        for task in config.tasks:
+            for fit in _member_fits(config, task, data[task]):
+                data[task]._expect(*fit)
 
 
 def _train_members(

@@ -18,10 +18,12 @@ an L2 penalty on weight matrices (biases are not penalized). Everything is
 derived from the hyperparameter seed, so a fit is bit-reproducible.
 
 The training loop, `_fit_many`, trains a group of members that share hidden
-size, epochs and row count in lockstep. Their parameters are stacked on a
-leading member axis, each step gathers every member's batch at once (member
-m's columns offset by m * dims), and one call of `_loss_and_grads` steps them
-all, writing the gradients into buffers the loop keeps for the whole call.
+size, epochs, row count and class count in lockstep, whatever their feature
+spaces and design matrices. Their parameters are stacked on a leading member
+axis, padded with zeros to the widest feature space, each step gathers every
+member's batch at once (member m's columns offset by m * that width), and one
+call of `_loss_and_grads` steps them all, writing the gradients into buffers
+the loop keeps for the whole call.
 The gather writes the batch's entries and the class-major index arrays of
 its sparse products into a workspace the loop also keeps, grown only when a
 step needs more entries than any before it. Both products of a step, ``x @
@@ -39,6 +41,7 @@ and serialization is hidden_weight, hidden_bias, out_weight, out_bias.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -47,9 +50,10 @@ import operator
 import zipfile
 import zlib
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,10 +202,18 @@ class _Workspace:
         return arr[:size].reshape(shape)
 
 
+@functools.cache
+def _class_offsets(k: int) -> np.ndarray:
+    """The column ``1, ..., k - 1`` that `_class_major` adds, built once per width."""
+    offsets = np.arange(1, k)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _class_major(idx: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """``j + idx * k`` in row j of the ``(k, len(idx))`` array ``out``: flat cells, class-major."""
     np.multiply(idx, k, out=out[0])
-    np.add(out[0], np.arange(1, k)[:, None], out=out[1:])
+    np.add(out[0], _class_offsets(k), out=out[1:])
     return out
 
 
@@ -237,8 +249,9 @@ class _Rows:
     (row r's entries are ``indptr[r]:indptr[r + 1]``), which a gather reads,
     and no per-entry row array: ``row`` derives each entry's row from the
     pointers when a product or a transpose needs it. A gather keeps the rows
-    it computes along with its own pointers. A transpose keeps its rows (the
-    columns it swapped) but no pointers, and gathering from it raises.
+    it computes, and its own pointers unless it is a training step's (with
+    k). A transpose keeps its rows (the columns it swapped) but no pointers,
+    and gathering from either raises.
     """
 
     def __init__(
@@ -277,9 +290,10 @@ class _Rows:
         Member m's columns are offset by ``m * width``, so one product with the
         members' weights stacked into ``(members * width, k)`` serves them all,
         and each member's entries keep their storage order. With ``k`` the
-        result carries its k-wide cells. Its data, columns and cells are views
-        of ``work``'s arrays (a fresh workspace's without it), valid until the
-        next gather into the same workspace.
+        result carries its k-wide cells and no row pointers, which no step
+        reads. Its data, columns and cells are views of ``work``'s arrays (a
+        fresh workspace's without it), valid until the next gather into the
+        same workspace.
         """
         if self.indptr is None:
             raise ValueError("rows can only be gathered from a matrix with row pointers")
@@ -297,22 +311,19 @@ class _Rows:
         # of self. The positions are spent before the column cells are built,
         # so they borrow that array. mode="wrap" writes straight into out; the
         # default mode buffers it.
-        take = np.take(starts - ends + counts, row, out=work("col_cells", (nnz,), np.int64),
-                       mode="wrap")
+        take = (starts - ends + counts).take(
+            row, out=work("col_cells", (nnz,), np.int64), mode="wrap"
+        )
         take += arange[:nnz]
-        data = np.take(self.data, take, out=work("data", (nnz,)), mode="wrap")
-        col = np.take(self.col, take, out=work("col", (nnz,), np.int64), mode="wrap")
+        data = self.data.take(take, out=work("data", (nnz,)), mode="wrap")
+        col = self.col.take(take, out=work("col", (nnz,), np.int64), mode="wrap")
         if members > 1:
             member = np.floor_divide(row, len(rows) // members, out=take)
             col += np.multiply(member, self.shape[1], out=member)
-        return _Rows(
-            data,
-            col,
-            (len(rows), members * self.shape[1]),
-            np.concatenate(([0], ends)),
-            row,
-            None if k is None else _cells(row, col, k, work),
-        )
+        shape = (len(rows), members * self.shape[1])
+        if k is None:
+            return _Rows(data, col, shape, np.concatenate(([0], ends)), row)
+        return _Rows(data, col, shape, row=row, cells=_cells(row, col, k, work))
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         # Class-major: slice j holds every entry's term for output column j,
@@ -323,7 +334,7 @@ class _Rows:
         if cells is None or cells[0].shape[0] != k:
             cells = _cells(self.row, self.col, k, _Workspace())
         sum_at, read_at, products = cells
-        np.take(w.reshape(-1), read_at, out=products, mode="wrap")
+        w.reshape(-1).take(read_at, out=products, mode="wrap")
         np.multiply(products, self.data, out=products)
         sums = np.bincount(
             sum_at.reshape(-1), weights=products.reshape(-1), minlength=self.shape[0] * k
@@ -457,8 +468,13 @@ def _init_params(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
+    # The row max as np.maximum across the class columns: exact, like any max,
+    # and far cheaper than a reduction over a last axis of a few classes. The
+    # sum stays a reduction, whose order a column-wise sum would not keep.
+    top = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., j])
+    exps = np.exp(logits - top[..., None])
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
@@ -582,62 +598,116 @@ def _fit_rows(
     x: _Rows, y: np.ndarray, num_classes: int, spec: FeatureSpec, hyper: Hyperparams
 ) -> Model:
     """fit over design-matrix rows and their labels: `_fit_many` of one member on every row."""
-    (outcome,) = _fit_many(x, y, num_classes, spec, (hyper,), (np.arange(x.shape[0]),))
+    (outcome,) = _fit_many([_Member(x, y, num_classes, spec, hyper, np.arange(x.shape[0]))])
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     return outcome
 
 
-def _fit_many(
-    x: _Rows,
-    y: np.ndarray,
-    num_classes: int,
-    spec: FeatureSpec,
-    hypers,
-    row_sets,
-) -> list[Model | TrainingDiverged]:
+class _Member(NamedTuple):
+    """One member of a lockstep loop and what it trains on.
+
+    It trains with ``hyper`` on rows ``rows`` of design matrix ``x``, built in
+    feature space ``spec``, whose labels ``y`` have ``num_classes`` classes.
+    """
+
+    x: _Rows
+    y: np.ndarray
+    num_classes: int
+    spec: FeatureSpec
+    hyper: Hyperparams
+    rows: np.ndarray
+
+
+def _joined(members: Sequence[_Member]) -> tuple[_Rows, np.ndarray, list[np.ndarray]]:
+    """One design matrix and label array for a loop, and each member's rows in it.
+
+    The members' distinct design matrices go one after another, as wide as
+    the widest feature space, and a member's rows are offset by its matrix's
+    first row. Members that share one matrix get it back as it is, with
+    nothing copied.
+    """
+    sources = {id(m.x): m for m in members}
+    if len(sources) == 1:
+        return members[0].x, members[0].y, [m.rows for m in members]
+    xs = [m.x for m in sources.values()]
+    first_row = dict(zip(sources, np.cumsum([0] + [x.shape[0] for x in xs]).tolist()))
+    first_entry = np.cumsum([0] + [len(x.data) for x in xs])
+    x = _Rows(
+        np.concatenate([x.data for x in xs]),
+        np.concatenate([x.col for x in xs]),
+        (sum(x.shape[0] for x in xs), max(m.spec.dims for m in members)),
+        np.concatenate([[0]] + [x.indptr[1:] + at for x, at in zip(xs, first_entry)]),
+    )
+    y = np.concatenate([m.y for m in sources.values()])
+    return x, y, [m.rows + first_row[id(m.x)] for m in members]
+
+
+# Overflow is detected via the finite-loss check, not warnings; the state is
+# set once for the whole loop.
+@np.errstate(all="ignore")
+def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
     """The training loop: members trained in lockstep, a Model or a TrainingDiverged each.
 
-    Member m trains with ``hypers[m]`` on rows ``row_sets[m]`` of ``x`` (and
-    ``y``); the members share hidden size, epochs and row count. Each keeps
-    its own ``default_rng(seed)`` stream for its initialization and its
-    permutation per epoch, so it sees exactly the batches it would see alone.
-    The parameters are stacked on a leading member axis, and each step
-    gathers every member's batch rows in one gather and writes the gradients
-    into buffers kept for the whole call. The gather writes into a workspace
-    also kept for the call: the batch's entries and, built once per step, the
-    index arrays both sparse products read (k is the hidden size, or the
-    class count for logistic regression), so the storage-order rule of
-    `_Rows` holds for both. A member whose loss goes non-finite is dropped
-    with its error and the others go on.
+    The members share hidden size, epochs, row count and class count; their
+    feature spaces and design matrices may differ (another task's, say).
+    Each keeps its own ``default_rng(seed)`` stream for its initialization
+    and its permutation per epoch, so it sees exactly the batches it would
+    see alone. The distinct design matrices are joined once (`_joined`).
+
+    Each parameter array is stacked ``(members, size)``, sized for the largest
+    member: a member of a smaller feature space has its first-layer weights
+    in the prefix of a zero row, so member m's column c is stacked row
+    ``m * width + c`` for every member, with ``width`` the widest feature
+    space. No column of the member reaches the zero tail, whose gradient is
+    therefore ``l2 * 0 + 0`` and which stays +0.0; it adds exact zeros to
+    the member's squared norm, which only the finite check reads.
+
+    Each step gathers every member's batch rows in one gather and writes the
+    gradients into buffers kept for the whole call. The gather writes into
+    a workspace also kept for the call: the batch's entries and, built once
+    per step, the index arrays both sparse products read (k is the hidden
+    size, or the class count for logistic regression), so the storage-order
+    rule of `_Rows` holds for both. A member whose loss goes non-finite is
+    dropped with its error and the others go on.
     """
-    n = len(row_sets[0])
+    first = members[0]
+    n, num_classes = len(first.rows), first.num_classes
     if n == 0:
         raise DataError("cannot fit on an empty dataset")
-    hidden, epochs = hypers[0].hidden_size, hypers[0].epochs
-    if any((h.hidden_size, h.epochs) != (hidden, epochs) for h in hypers) or any(
-        len(rows) != n for rows in row_sets
+    hidden, epochs = first.hyper.hidden_size, first.hyper.epochs
+    if any(
+        (m.hyper.hidden_size, m.hyper.epochs, len(m.rows), m.num_classes)
+        != (hidden, epochs, n, num_classes)
+        for m in members
     ):
-        raise ValueError("lockstep members must share hidden size, epochs and row count")
+        raise ValueError(
+            "lockstep members must share hidden size, epochs, row count and class count"
+        )
+    x, y, row_sets = _joined(members)
+    hypers = [m.hyper for m in members]
     rngs = np.array([np.random.default_rng(h.seed) for h in hypers], dtype=object)
-    params: dict[str, np.ndarray] = {}
-    for m, (hyper, rng) in enumerate(zip(hypers, rngs)):
-        for name, arr in _init_params(spec, hyper, num_classes, rng).items():
-            params.setdefault(name, np.empty((len(hypers), arr.size)))[m] = arr
+    sizes = [_expected_shapes(m.spec, hidden, num_classes) for m in members]
+    params = {name: np.zeros((len(members), max(s[name] for s in sizes))) for name in sizes[0]}
+    for m, (member, rng) in enumerate(zip(members, rngs)):
+        for name, arr in _init_params(member.spec, member.hyper, num_classes, rng).items():
+            params[name][m, : arr.size] = arr
     grads = {name: np.empty_like(arr) for name, arr in params.items()}
     work, width = _Workspace(), hidden or num_classes
-    order = np.empty((len(hypers), n), dtype=np.intp)  # each member's rows, this epoch
+    order = np.empty((len(members), n), dtype=np.intp)  # each member's rows, this epoch
     lr = np.array([[h.learning_rate] for h in hypers])
     l2 = np.array([h.l2 for h in hypers])
-    live = np.arange(len(hypers))  # which member each stacked row is
-    outcomes: list[Model | TrainingDiverged | None] = [None] * len(hypers)
+    live = np.arange(len(members))  # which member each stacked row is
+    outcomes: list[Model | TrainingDiverged | None] = [None] * len(members)
+    # The step without its own errstate: _fit_many's holds for every step.
+    step = getattr(_loss_and_grads, "__wrapped__", _loss_and_grads)
 
     for epoch in range(epochs):
         for i, (member, rng) in enumerate(zip(live, rngs)):
             order[i] = row_sets[member][rng.permutation(n)]
         for start in range(0, n, _BATCH_SIZE):
             batch = order[:, start : start + _BATCH_SIZE].ravel()
-            loss, _ = _loss_and_grads(
+            loss, _ = step(
                 params, x.gather(batch, len(live), width, work), y[batch], num_classes, hidden,
                 l2, out=grads,
             )
@@ -659,12 +729,13 @@ def _fit_many(
                 params[name] -= grad
 
     for i, member in enumerate(live):
-        arrays = {name: arr[i] for name, arr in params.items()}
+        arrays = {name: arr[i, : sizes[member][name]] for name, arr in params.items()}
         bad = [name for name, arr in arrays.items() if not np.all(np.isfinite(arr))]
         outcomes[member] = (
             TrainingDiverged(f"non-finite parameters in {bad[0]!r} after training")
             if bad
-            else Model(spec=spec, hyper=hypers[member], num_classes=num_classes, params=arrays)
+            else Model(spec=members[member].spec, hyper=hypers[member], num_classes=num_classes,
+                       params=arrays)
         )
     return outcomes
 

@@ -1,4 +1,5 @@
 import json
+from typing import NamedTuple
 
 import pytest
 
@@ -29,3 +30,45 @@ def toy_workspace(tmp_path_factory):
     from bagkit.toy import write_toy_workspace
 
     return write_toy_workspace(tmp_path_factory.mktemp("toyws"))
+
+
+class Loop(NamedTuple):
+    """One lockstep loop as `record_loops` saw it."""
+
+    members: tuple  # the predictor._Member tuples it trained
+    specs: frozenset  # their feature spaces
+    sources: int  # their distinct design matrices
+    params: int  # parameters stacked: members times the largest member's
+    search: bool  # whether a grid search ran it
+
+
+def record_loops(monkeypatch):
+    """Record, in order, each lockstep loop that experiment runs (a list of `Loop`)."""
+    from bagkit import experiment
+
+    loops, searching = [], []
+    real_fit_many, real_search = experiment._fit_many, experiment._search
+
+    def fit_many(members):
+        widest = max(
+            experiment._member_params(m.spec, m.hyper.hidden_size, m.num_classes) for m in members
+        )
+        loops.append(Loop(
+            tuple(members),
+            frozenset(m.spec for m in members),
+            len({id(m.x) for m in members}),
+            len(members) * widest,
+            bool(searching),
+        ))
+        return real_fit_many(members)
+
+    def search(requests):
+        searching.append(True)
+        try:
+            return real_search(requests)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(experiment, "_fit_many", fit_many)
+    monkeypatch.setattr(experiment, "_search", search)
+    return loops

@@ -23,6 +23,7 @@ from bagkit.cli import (
 from bagkit.predictor import FeatureSpec, Hyperparams, fit, load_model, save_model
 from bagkit.prune import PruneSpec, prune_magnitude, sparsity
 from bagkit.toy import synthetic_task
+from conftest import record_loops
 
 # Golden output bytes (sha256). Every output is a pure function of its
 # inputs, so a refactor must leave these unchanged; a change that alters any
@@ -63,27 +64,6 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def lockstep_groups(monkeypatch):
-    """Record each lockstep loop experiment runs: its member count, and whether a search ran it."""
-    groups, searching = [], []
-    real_fit_many, real_search = experiment._fit_many, experiment._search
-
-    def fit_many(x, y, num_classes, spec, hypers, row_sets):
-        groups.append((len(hypers), bool(searching)))
-        return real_fit_many(x, y, num_classes, spec, hypers, row_sets)
-
-    def search(*args):
-        searching.append(True)
-        try:
-            return real_search(*args)
-        finally:
-            searching.pop()
-
-    monkeypatch.setattr(experiment, "_fit_many", fit_many)
-    monkeypatch.setattr(experiment, "_search", search)
-    return groups
 
 
 class TestValidate:
@@ -224,10 +204,13 @@ class TestRun:
         assert "FAILED" in err and "missing-task" in err
 
     def test_batch_work_counts(self, toy_workspace, tmp_path, monkeypatch):
-        # 9 searches of 4 candidates, one lockstep loop each, plus 21 distinct
-        # members of the 33 declared (t3 reuses t2's unpruned fits, t5 reuses
-        # t1's full-data logreg); one design matrix per (task, split, feature space).
-        groups = lockstep_groups(monkeypatch)
+        # 9 searches of 4 candidates in one batch search: one lockstep loop
+        # per class count (topics2 and pairs2 together, topics3 alone). Then
+        # 21 distinct members of the 33 declared (t3 reuses t2's unpruned
+        # fits, t5 reuses t1's full-data logreg): per task, t1's loop also
+        # trains t2's and t4's members, and t5's MLP trains alone. One design
+        # matrix per (task, split, feature space).
+        loops = record_loops(monkeypatch)
         calls = count_calls(monkeypatch, experiment, ("_search", "_design_matrix"))
         code = run_cli(
             "run",
@@ -236,9 +219,11 @@ class TestRun:
             "--out", tmp_path,
         )
         assert code == EXIT_OK
-        assert calls == {"_search": 9, "_design_matrix": 27}
-        assert sum(size for size, _ in groups) == 57
-        assert sum(searching for _, searching in groups) == 9
+        assert calls == {"_search": 1, "_design_matrix": 27}
+        assert sum(len(loop.members) for loop in loops) == 57
+        assert [len(loop.members) for loop in loops] == [24, 12, 6, 6, 6, 1, 1, 1]
+        assert [loop.search for loop in loops] == [True] * 2 + [False] * 6
+        assert [loop.sources for loop in loops] == [6, 3, 3, 3, 3, 1, 1, 1]
 
     def test_seed_override_changes_bagged_results(self, toy_workspace, toy_run, tmp_path):
         _, first_out = toy_run
@@ -292,7 +277,7 @@ class TestVariance:
         assert file_hashes(out_dir, GOLDEN_VARIANCE_MLP_PRUNED) == GOLDEN_VARIANCE_MLP_PRUNED
 
     def test_plan_built_once(self, toy_workspace, tmp_path, monkeypatch):
-        groups = lockstep_groups(monkeypatch)
+        loops = record_loops(monkeypatch)
         calls = count_calls(monkeypatch, experiment, ("make_plan",))
         cli_calls = count_calls(monkeypatch, cli, ("make_plan",))
         code = run_cli(
@@ -308,9 +293,9 @@ class TestVariance:
         assert calls["make_plan"] + cli_calls["make_plan"] == 1
         # Every single model and ensemble member, as many first-level samples
         # per lockstep loop as the width rule allows.
-        assert sum(size for size, _ in groups) == 3 + 3 * 2
+        assert sum(len(loop.members) for loop in loops) == 3 + 3 * 2
         per_loop = max(1, experiment._MAX_GROUP_PARAMS // (3 * (256 * 2 + 2)))
-        assert len(groups) == -(-3 // per_loop)
+        assert len(loops) == -(-3 // per_loop)
 
     @pytest.mark.parametrize("per_loop", [1, 2])
     def test_split_groups_give_the_same_report(self, toy_workspace, tmp_path, monkeypatch,
@@ -329,11 +314,11 @@ class TestVariance:
             return (out_dir / "variance_topics2.csv").read_bytes()
 
         whole = variance(tmp_path / "whole")
-        groups = lockstep_groups(monkeypatch)
+        loops = record_loops(monkeypatch)
         # A cap that fits per_loop first-level samples of 3 logreg-256 fits each.
         monkeypatch.setattr(experiment, "_MAX_GROUP_PARAMS", per_loop * 3 * (256 * 2 + 2))
         assert variance(tmp_path / "split") == whole
-        sizes = [size for size, _ in groups]
+        sizes = [len(loop.members) for loop in loops]
         assert sizes == [3 * per_loop] * (5 // per_loop) + [3] * (5 % per_loop)
 
     def test_n_one_is_usage_error(self, toy_workspace, tmp_path):

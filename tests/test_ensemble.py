@@ -117,6 +117,28 @@ class TestEnsemblePredict:
             winner, _ = predict(Ensemble(members=(model,) * k, num_classes=3), example)
             assert winner == single
 
+    def test_mixed_feature_spaces_match_predict_proba(self, example, monkeypatch):
+        from bagkit import ensemble
+
+        specs = (FeatureSpec(dims=256), FeatureSpec(dims=64, ngram_max=2), FeatureSpec(dims=256))
+        models = tuple(
+            initialize(spec, Hyperparams(hidden_size=hidden, seed=seed), 3)
+            for seed, (spec, hidden) in enumerate(zip(specs * 2, (0, 0, 4, 4, 0, 2)))
+        )
+        builds = []
+        real_build = ensemble._design_matrix
+
+        def build(examples, spec):
+            builds.append(spec)
+            return real_build(examples, spec)
+
+        monkeypatch.setattr(ensemble, "_design_matrix", build)
+        winner, combined = predict(Ensemble(members=models, num_classes=3), example)
+        assert builds == list(dict.fromkeys(specs))  # one row per feature space
+        oracle_winner, oracle = soft_vote([predict_proba(m, example) for m in models])
+        assert winner == oracle_winner
+        assert np.array_equal(combined, oracle)
+
     def test_matches_raw_sum_reimplementation(self, members):
         td = synthetic_task("vote", seed=21, num_classes=3, n_train=10, n_val=10, n_test=1000)
         ens = Ensemble(members=members, num_classes=3)

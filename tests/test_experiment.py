@@ -27,6 +27,7 @@ from bagkit.predictor import (
     Hyperparams,
     _design_matrix,
     _fit_rows,
+    _Member,
     fit,
     param_count,
     predict_proba_dataset,
@@ -34,6 +35,7 @@ from bagkit.predictor import (
 from bagkit.prune import PruneSpec, prune_magnitude
 from bagkit.resample import _task_seed, bootstrap, derive_seed, materialize
 from bagkit.toy import synthetic_task
+from conftest import record_loops
 
 SPEC = FeatureSpec(dims=256)
 
@@ -291,9 +293,10 @@ class TestTaskCache:
             builds[(id(examples), spec)] += 1
             return real_build(examples, spec)
 
-        def search(*args):
-            searches[args[-1]] += 1  # keyed by the feature space, the last argument
-            return real_search(*args)
+        def search(requests):
+            # One count per request, keyed by its feature space, the last field.
+            searches.update(request[-1] for request in requests)
+            return real_search(requests)
 
         monkeypatch.setattr(experiment, "_design_matrix", build)
         monkeypatch.setattr(experiment, "_search", search)
@@ -313,16 +316,10 @@ class TestTaskCache:
         assert builds == Counter({(id(ds), SPEC): 1 for ds in splits})
         assert searches == Counter({SPEC: 1})
 
-    def counting_fits(self, monkeypatch):
-        fits = Counter()
-        real_fit_many = experiment._fit_many
-
-        def fit_many(x, y, num_classes, spec, hypers, row_sets):
-            fits.update((spec, hyper) for hyper in hypers)
-            return real_fit_many(x, y, num_classes, spec, hypers, row_sets)
-
-        monkeypatch.setattr(experiment, "_fit_many", fit_many)
-        return fits
+    @staticmethod
+    def trained(loops):
+        """How often each (feature space, hyperparameters) pair trained in the loops recorded."""
+        return Counter((m.spec, m.hyper) for loop in loops for m in loop.members)
 
     def test_identical_members_train_once(self, task_acc, monkeypatch):
         mlp = member(kind="mlp", hyper=Hyperparams(hidden_size=4, epochs=5))
@@ -336,11 +333,12 @@ class TestTaskCache:
         ]
         expected = [run_config(c, {"acc2": fresh(task_acc)}) for c in configs]
         assert expected[0].task_accuracy != expected[2].task_accuracy  # the prune shows
-        fits = self.counting_fits(monkeypatch)
+        loops = record_loops(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
         experiment._expect_fits(configs, shared)
         assert [run_config(c, shared) for c in configs] == expected
         # Four search candidates, then one full-data logreg, two bagged members, one MLP.
+        fits = self.trained(loops)
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 4
         assert set(fits.values()) == {1}
         assert fit_entries(shared["acc2"]) == []  # each shared model dropped at its last use
@@ -351,10 +349,11 @@ class TestTaskCache:
                            ("acc2",), base_seed=4)
             for cid in ("a", "b")
         ]
-        fits = self.counting_fits(monkeypatch)
+        loops = record_loops(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
         for config in configs:
             run_config(config, shared)
+        fits = self.trained(loops)
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 2 * 2
         assert fit_entries(shared["acc2"]) == []
 
@@ -364,11 +363,12 @@ class TestTaskCache:
     ):
         config = EnsembleConfig("d", "homo", (member(), member()), ("acc2",), base_seed=7)
         expected = run_config(config, {"acc2": fresh(task_acc)})
-        fits = self.counting_fits(monkeypatch)
+        loops = record_loops(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
         if announced:
             experiment._expect_fits([config], shared)
         assert run_config(config, shared) == expected
+        fits = self.trained(loops)
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 1
         assert fit_entries(shared["acc2"]) == []
 
@@ -383,13 +383,35 @@ class TestTaskCache:
 
     def test_diverged_member_is_not_kept(self, task_acc, monkeypatch):
         diverging = member(hyper=Hyperparams(learning_rate=1e6, l2=1e-4))
-        fits = self.counting_fits(monkeypatch)
+        loops = record_loops(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
         for config_id in ("first", "second"):
             config = EnsembleConfig(config_id, "single", (diverging,), ("acc2",), base_seed=5)
             with pytest.raises(TrainingDiverged, match="member 0"):
                 run_config(config, shared)
+        fits = self.trained(loops)
         assert sum(fits.values()) == 2
+
+    def test_diverged_announced_fit_trains_once(self, task_acc, monkeypatch):
+        diverging = member(hyper=Hyperparams(learning_rate=1e40, l2=1.0, epochs=5))
+        configs = [
+            EnsembleConfig(config_id, "single", (m,), ("acc2",), base_seed=seed)
+            for config_id, m, seed in (("a", member(), 1), ("b", diverging, 2),
+                                       ("c", diverging, 2))
+        ]
+        with pytest.raises(TrainingDiverged) as alone:
+            run_config(configs[1], {"acc2": fresh(task_acc)})
+        loops = record_loops(monkeypatch)
+        shared = {"acc2": fresh(task_acc)}
+        experiment._expect_fits(configs, shared)
+        run_config(configs[0], shared)  # its loop also trains the diverging fit b and c ask for
+        for config in configs[1:]:
+            with pytest.raises(TrainingDiverged) as failed:
+                run_config(config, shared)
+            assert str(failed.value).split(":", 1)[1] == str(alone.value).split(":", 1)[1]
+        fits = self.trained(loops)
+        assert sum(n for (_, hyper), n in fits.items() if hyper.learning_rate == 1e40) == 1
+        assert fit_entries(shared["acc2"]) == []
 
     def test_diverged_search_is_not_kept(self, task_acc, monkeypatch):
         monkeypatch.setitem(
@@ -435,20 +457,6 @@ class TestVarianceAnalysis:
         assert report.task == "f1three"
 
 
-def recording_groups(monkeypatch):
-    """Record each lockstep loop experiment runs: its member count and stacked parameters."""
-    groups = []
-    real_fit_many = experiment._fit_many
-
-    def fit_many(x, y, num_classes, spec, hypers, row_sets):
-        params = experiment._member_params(spec, hypers[0].hidden_size, num_classes)
-        groups.append((len(hypers), len(hypers) * params))
-        return real_fit_many(x, y, num_classes, spec, hypers, row_sets)
-
-    monkeypatch.setattr(experiment, "_fit_many", fit_many)
-    return groups
-
-
 class TestWidthRule:
     """No lockstep group stacks more than _MAX_GROUP_PARAMS parameters, unless it trains one."""
 
@@ -456,7 +464,7 @@ class TestWidthRule:
 
     def test_no_group_exceeds_the_cap(self, task_acc, monkeypatch):
         monkeypatch.setattr(experiment, "_MAX_GROUP_PARAMS", self.CAP)
-        groups = recording_groups(monkeypatch)
+        loops = record_loops(monkeypatch)
         quick = Hyperparams(epochs=2)
         wide_mlp = member("mlp", bagged=True, hyper=Hyperparams(hidden_size=4, epochs=2),
                           spec=FeatureSpec(dims=1024))
@@ -466,14 +474,14 @@ class TestWidthRule:
         variance_analysis(fresh(task_acc), member(bagged=True, hyper=quick), n=3, m=2,
                           base_seed=5)
         variance_analysis(fresh(task_acc), wide_mlp, n=2, m=1, base_seed=5)
-        assert all(size == 1 or params <= self.CAP for size, params in groups)
+        assert all(len(loop.members) == 1 or loop.params <= self.CAP for loop in loops)
         # The search's 4 candidates, the 7 members split 5 + 2, one loop per
         # first-level sample of 3 logreg fits, and 4 MLP members one by one.
-        assert [size for size, _ in groups] == [4, 5, 2, 3, 3, 3, 1, 1, 1, 1]
+        assert [len(loop.members) for loop in loops] == [4, 5, 2, 3, 3, 3, 1, 1, 1, 1]
 
     def test_split_outcomes_in_member_order(self, task_acc, monkeypatch):
         monkeypatch.setattr(experiment, "_MAX_GROUP_PARAMS", 2 * (256 * 2 + 2))
-        groups = recording_groups(monkeypatch)
+        loops = record_loops(monkeypatch)
         x, y = _design_matrix(task_acc.train, SPEC), task_acc.train.labels()
         n = len(task_acc.train)
         hypers = [
@@ -484,8 +492,11 @@ class TestWidthRule:
             )
         ]
         row_sets = [np.array(bootstrap(n, 50 + i).indices) for i in range(len(hypers))]
-        outcomes = experiment._fit_groups(x, y, 2, SPEC, hypers, row_sets)
-        assert [size for size, _ in groups] == [2, 2, 1, 2]  # epochs 3: 5 members; 30: 2
+        members = [_Member(x, y, 2, SPEC, hyper, rows) for hyper, rows in zip(hypers, row_sets)]
+        outcomes = [None] * len(members)
+        for i, outcome in experiment._fit_groups(members):
+            outcomes[i] = outcome
+        assert [len(loop.members) for loop in loops] == [2, 2, 1, 2]  # epochs 3: 5; 30: 2
         for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
             try:
                 alone = _fit_rows(x[rows], y[rows], 2, SPEC, hyper)
@@ -496,6 +507,87 @@ class TestWidthRule:
             for name in alone.params:
                 assert np.array_equal(outcome.params[name], alone.params[name]), name
         assert isinstance(outcomes[2], TrainingDiverged)
+
+
+class TestBatchLoops:
+    """A batch's searches, and a task's announced fits, share loops across feature spaces."""
+
+    SMALL, WIDE = FeatureSpec(dims=64), FeatureSpec(dims=512)
+
+    @pytest.fixture(scope="class")
+    def tasks(self):
+        return {
+            name: synthetic_task(name, seed=seed, n_train=60, n_val=30, n_test=30)
+            for name, seed in (("ta", 51), ("tb", 52))
+        }
+
+    def configs(self):
+        bag = member(bagged=True, spec=self.SMALL)
+        mlp = member("mlp", hyper=Hyperparams(hidden_size=4, epochs=5), spec=self.SMALL)
+        both = ("ta", "tb")
+        return [
+            EnsembleConfig("small", "single", (member(spec=self.SMALL),), both, base_seed=3),
+            EnsembleConfig("bag", "homo", (bag, bag), both, base_seed=3),
+            EnsembleConfig("mixed", "hetero_same_family",
+                           (member(spec=self.SMALL), member(spec=self.WIDE)), both, base_seed=4),
+            EnsembleConfig("mlp", "hetero_diff_family", (member(spec=self.WIDE), mlp), ("tb",),
+                           base_seed=3),
+        ]
+
+    def test_batch_search_winners_equal_grid_search(self, tasks, monkeypatch):
+        data = {name: fresh(task) for name, task in tasks.items()}
+        loops = record_loops(monkeypatch)
+        experiment._expect_fits(self.configs(), data)
+        # 2 tasks x 2 feature spaces x 4 candidates, in one loop over 4 design matrices.
+        assert [(len(loop.members), loop.sources, loop.search) for loop in loops] == [
+            (16, 4, True)
+        ]
+        for name, task in tasks.items():
+            for spec in (self.SMALL, self.WIDE):
+                expected = grid_search(
+                    DEFAULT_SEARCH_SPACE["logreg"], task.train, task.val, task.metric, spec
+                )
+                assert data[name]._cache[("search", "logreg", spec)] == expected
+
+    def test_standalone_runs_equal_the_batch(self, tasks, monkeypatch):
+        configs = self.configs()
+        alone = [run_config(c, {name: fresh(task) for name, task in tasks.items()})
+                 for c in configs]
+        loops = record_loops(monkeypatch)
+        data = {name: fresh(task) for name, task in tasks.items()}
+        experiment._expect_fits(configs, data)
+        results = [run_config(configs[0], data)]
+        # The first configuration's loop on each task trained every logreg fit
+        # announced there; the others are held with their announced uses.
+        held = {name: [key for key in fit_entries(td) if key[0] == "fit"]
+                for name, td in data.items()}
+        assert {name: len(keys) for name, keys in held.items()} == {"ta": 4, "tb": 5}
+        results += [run_config(c, data) for c in configs[1:]]
+        assert results == alone
+        # The search, one loop per task, and the MLP, which no loop could take.
+        assert [len(loop.members) for loop in loops] == [16, 5, 6, 1]
+        assert [loop.sources for loop in loops] == [4, 2, 2, 1]
+        assert all(fit_entries(td) == [] for td in data.values())
+
+    def test_a_size_group_over_the_padding_budget_gets_its_own_loop(self):
+        key, other = (0, 30, 60, 2), (0, 30, 61, 2)
+        wide, narrow = 4098, 1026  # logreg-2048 and logreg-512 members, 2 classes
+        fit = experiment._MAX_PADDING // (wide - narrow)  # narrow members that may join
+        assert experiment._loops([(key, wide)] + [(key, narrow)] * fit) == [list(range(fit + 1))]
+        assert experiment._loops([(key, wide)] + [(key, narrow)] * (fit + 1)) == [
+            [0], list(range(1, fit + 2))
+        ]
+        assert experiment._loops([(key, wide), (other, narrow)]) == [[0], [1]]
+
+    def test_extras_fill_loops_but_start_none(self):
+        key, other = (0, 30, 60, 2), (4, 30, 60, 2)
+        extras = [(key, 4098), (other, 1026), (key, 2**16), (key, 1026)]
+        # The wider extra pads the loop's member by 3072 and joins; the other
+        # key's does not, nor the one that would pad by more than the budget.
+        assert experiment._loops([(key, 1026)], extras) == [[0, 1, 4]]
+        assert experiment._loops([], extras) == []
+        big = experiment._MAX_GROUP_PARAMS + 1  # trains alone, and takes no extras
+        assert experiment._loops([(key, big)], [(key, big), (key, 1026)]) == [[0]]
 
 
 class TestEquivalenceGroup:

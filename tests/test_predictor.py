@@ -18,6 +18,7 @@ from bagkit.predictor import (
     _forward,
     _init_params,
     _loss_and_grads,
+    _Member,
     _one,
     _Workspace,
     featurize,
@@ -33,6 +34,13 @@ from bagkit.predictor import (
 from bagkit.experiment import grid_search
 from bagkit.resample import bootstrap
 from bagkit.toy import synthetic_task
+
+
+def lockstep(x, y, num_classes, spec, hypers, row_sets):
+    """`_fit_many` of members that share one design matrix and feature space."""
+    return _fit_many(
+        [_Member(x, y, num_classes, spec, hyper, rows) for hyper, rows in zip(hypers, row_sets)]
+    )
 
 
 def grad_dataset():
@@ -222,7 +230,7 @@ class TestLockstep:
     def test_members_equal_a_per_member_reference(self, hidden):
         td, hypers, row_sets = self.members(hidden)
         x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
-        models = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        models = lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         for model, hyper, rows in zip(models, hypers, row_sets):
             assert model.hyper == hyper
             params = reference_fit(x, y, self.SPEC, hyper, rows)
@@ -235,7 +243,7 @@ class TestLockstep:
         td, hypers, row_sets = self.members(hidden, epochs=30)
         hypers[2] = Hyperparams(learning_rate=1e6, epochs=30, hidden_size=hidden, seed=3)
         x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
-        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        outcomes = lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
             try:
                 alone = _fit_rows(x[rows], y[rows], 2, self.SPEC, hyper)
@@ -258,7 +266,7 @@ class TestLockstep:
             (hypers[:2], [row_sets[0], row_sets[1][:-1]]),
         ):
             with pytest.raises(ValueError, match="lockstep"):
-                _fit_many(x, y, 2, self.SPEC, bad_hypers, bad_rows)
+                lockstep(x, y, 2, self.SPEC, bad_hypers, bad_rows)
 
     def test_grid_search_skips_a_diverging_candidate(self):
         td = synthetic_task("search", seed=9, n_train=90, n_val=40, n_test=20)
@@ -680,7 +688,7 @@ class TestGradientBuffers:
             Hyperparams(learning_rate=1e6, epochs=30, l2=1e-2, seed=2),  # diverges
             Hyperparams(learning_rate=0.2, epochs=30, seed=3),
         ]
-        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, [np.arange(len(td.train))] * 3)
+        outcomes = lockstep(x, y, 2, self.SPEC, hypers, [np.arange(len(td.train))] * 3)
         assert isinstance(outcomes[1], TrainingDiverged)
         kept = {id(arr): arr for out in buffers for arr in out.values()}
         assert len(kept) == 4  # one pair for the three members, one after the drop
@@ -724,9 +732,9 @@ class TestStepWorkspace:
     def test_wide_groups_equal_solo_fits(self, count, hidden):
         x, y = self.task()
         hypers, row_sets = self.members(x, count, hidden)
-        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        outcomes = lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
-            (alone,) = _fit_many(x, y, 2, self.SPEC, (hyper,), (rows,))
+            (alone,) = lockstep(x, y, 2, self.SPEC, (hyper,), (rows,))
             if isinstance(alone, TrainingDiverged):
                 assert str(outcome) == str(alone)
                 assert "epoch 1, batch offset 32" in str(alone)
@@ -749,7 +757,7 @@ class TestStepWorkspace:
         monkeypatch.setattr(predictor, "_Workspace", Recorded)
         x, y = self.task()
         hypers, row_sets = self.members(x, 6, 4)
-        outcomes = _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        outcomes = lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         kept = [arr for work in workspaces for arr in work.arrays.values()]
         assert {"arange", "data", "col", "row_cells", "col_cells", "products"} <= {
             name for work in workspaces for name in work.arrays
@@ -779,12 +787,96 @@ class TestStepWorkspace:
         monkeypatch.setattr(predictor, "_class_major", class_major)
         x, y = self.task()
         hypers, row_sets = self.members(x, 2, hidden)
-        _fit_many(x, y, 2, self.SPEC, hypers, row_sets)
+        lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         steps = 3 * 3  # 75 rows in batches of 32, three epochs
         assert len(products) == 2 * steps and len(built) == 2 * steps
         for forward, backward in zip(products[::2], products[1::2]):
             assert forward[0] is backward[1] and forward[1] is backward[0]
             assert forward[2] is backward[2]
+
+
+class TestMixedLoops:
+    """One loop over several feature spaces and tasks equals each member trained alone."""
+
+    SPECS = (FeatureSpec(dims=16), FeatureSpec(dims=2048, ngram_max=2), FeatureSpec(dims=256))
+
+    def members(self, num_classes, hidden):
+        """Members over 3 feature spaces of 2 tasks with 75 training rows each."""
+        tasks = [
+            synthetic_task(name, seed=seed, num_classes=num_classes, n_train=75, n_val=10,
+                           n_test=10, with_text_b=name == "mixb")
+            for name, seed in (("mixa", 3), ("mixb", 4))
+        ]
+        members = []
+        for t, task in enumerate(tasks):
+            y = task.train.labels()
+            for s, spec in enumerate(self.SPECS[t:]):  # task b: the last two spaces
+                x = _design_matrix(task.train, spec)
+                for r in range(2):
+                    seed = 10 * t + 3 * s + r
+                    lr, l2 = (0.5, 1e-4) if r else (0.2, 0.0)
+                    if (t, s, r) == (1, 0, 1):
+                        lr, l2 = 1e40, 1.0  # diverges at epoch 1, batch offset 32
+                    hyper = Hyperparams(learning_rate=lr, l2=l2, epochs=3, hidden_size=hidden,
+                                        seed=seed)
+                    rows = np.array(bootstrap(75, 90 + seed).indices)
+                    members.append(_Member(x, y, num_classes, spec, hyper, rows))
+        return members
+
+    def stacks(self, monkeypatch):
+        """The stacked parameters of each step `_fit_many` takes, latest last."""
+        from bagkit import predictor
+
+        seen = []
+        real = predictor._loss_and_grads
+
+        def spy(params, *args, **kwargs):
+            seen.append(params)
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(predictor, "_loss_and_grads", spy)
+        return seen
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_members_equal_solo_fits(self, num_classes, hidden, monkeypatch):
+        members = self.members(num_classes, hidden)
+        assert len({id(m.x) for m in members}) == 5 and len({m.spec for m in members}) == 3
+        seen = self.stacks(monkeypatch)
+        outcomes = _fit_many(members)
+        monkeypatch.undo()
+        for outcome, m in zip(outcomes, members):
+            try:
+                alone = _fit_rows(m.x[m.rows], m.y[m.rows], num_classes, m.spec, m.hyper)
+            except TrainingDiverged as exc:
+                assert str(outcome) == str(exc)
+                assert "epoch 1, batch offset 32" in str(exc)
+                continue
+            assert outcome.spec == m.spec and outcome.hyper == m.hyper
+            assert list(outcome.params) == list(alone.params)
+            for name in alone.params:
+                assert np.array_equal(outcome.params[name], alone.params[name]), name
+        assert sum(isinstance(o, TrainingDiverged) for o in outcomes) == 1
+        # The zero tails of the smaller feature spaces' rows are still +0.0,
+        # and no model shares memory with a stack.
+        stacks = seen[-1]
+        live = [(m, o) for m, o in zip(members, outcomes) if not isinstance(o, TrainingDiverged)]
+        assert all(len(stack) == len(live) for stack in stacks.values())
+        for row, (m, model) in enumerate(live):
+            for name, stack in stacks.items():
+                size = model.params[name].size
+                tail = stack[row, size:]
+                assert not tail.any() and not np.signbit(tail).any(), name
+                assert np.array_equal(stack[row, :size], model.params[name])
+                assert not np.shares_memory(model.params[name], stack)
+        widths = {name: stack.shape[1] for name, stack in stacks.items()}
+        first = "out_weight" if hidden == 0 else "hidden_weight"
+        assert widths[first] == 2048 * (hidden or num_classes)
+
+    def test_members_must_share_class_count(self):
+        two, three = (self.members(k, 0)[:1] for k in (2, 3))
+        with pytest.raises(ValueError, match="class count"):
+            _fit_many(two + three)
 
 
 class TestGradients:
