@@ -20,8 +20,7 @@ from .errors import BagkitError, ConfigError, DataError
 from .experiment import (
     DEFAULT_HYPER,
     MemberSpec,
-    _expect_fits,
-    run_config,
+    _run_batch,
     sampling_manifest,
     variance_analysis,
     write_report,
@@ -73,19 +72,20 @@ def cmd_run(args) -> int:
         except (DataError, ConfigError) as exc:
             task_errors[task] = str(exc)
 
-    # Configurations run one at a time, in file order. Threads do not pay
-    # here: the work is many small numpy calls that contend for the GIL.
-    _expect_fits(configs, data)
+    # One schedule trains the batch (`_run_batch`). Threads do not pay here:
+    # the work is many small numpy calls that contend for the GIL.
+    outcomes = iter(_run_batch([c for c in configs if not set(c.tasks) & set(task_errors)], data))
     results = []
     failures = []
     for config in configs:
         bad = [t for t in config.tasks if t in task_errors]
-        try:
-            if bad:
-                raise ConfigError(f"config {config.config_id!r}: unavailable tasks {bad}")
-            results.append(run_config(config, data))
-        except BagkitError as exc:
-            failures.append((config.config_id, str(exc)))
+        outcome = next(outcomes) if not bad else ConfigError(
+            f"config {config.config_id!r}: unavailable tasks {bad}"
+        )
+        if isinstance(outcome, BagkitError):
+            failures.append((config.config_id, str(outcome)))
+        else:
+            results.append(outcome)
 
     out_dir = Path(args.out)
     if results:

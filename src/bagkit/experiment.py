@@ -13,18 +13,24 @@ every configuration run on it: each split's design matrix is built once per
 feature space, and the grid search runs once per (model kind, feature
 space). A bagged member trains on the rows of the training matrix that its
 bootstrap sample draws, so no example is featurized twice in one feature
-space. In a batch whose members were announced up front, members with the
-same feature space, hyperparameters (seed included) and bootstrap sample
-train once, and the shared model is dropped at its last use; pruning is
-applied per member afterwards.
+space.
 
-Members train in lockstep loops (`predictor._fit_many`). Members that share
-hidden size, epochs, row count and class count may share a loop, whatever
-their feature spaces or tasks: a smaller member is padded with zeros to the
-loop's widest. A batch runs every grid search it needs up front, all
-candidates of every task together; then each configuration's members on a
-task train in loops that also take the task's fits announced for later
-configurations. One width rule (`_loops`) forms the loops: a loop stacks at
+All training goes through one schedule per command. A consumer is one
+scoring step (a grid search, a configuration on a task, or a variance
+sample) and reads fits: a task, feature space, hyperparameters (seed
+included) and chain of bootstrap samples, so members that agree on all four
+read one model. The planner (`_schedule`) walks the consumers in order and
+lists lockstep loops: a consumer's fits that no loop trains yet start loops
+by the width rule (`_loops`), and later consumers of its task put their fits
+into those loops, those of one loop all together or none (`_joins`). The
+executor (`_run_schedule`) trains the loops in order, scores each consumer
+once its fits are held, and drops each fit at its last use. A batch runs
+its grid searches first, in one `_search`, since members take their
+hyperparameters from the winners; `run_config` is a batch of one.
+
+Members that share hidden size, epochs, row count and class count may share
+a loop (`predictor._fit_many`), whatever their feature spaces or tasks: a
+smaller member is padded with zeros to the loop's widest. A loop stacks at
 most `_MAX_GROUP_PARAMS` parameters, so a larger group is split and a member
 larger than the cap trains alone, and a join may add at most `_MAX_PADDING`
 padded parameters. A member trained in a loop is bit-identical to the same
@@ -32,16 +38,17 @@ member trained alone.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
-resamples of that same first-level sample. It trains as many first-level
-samples per lockstep group as the width rule allows, each with its single
-model and its m members, and holds only that group's models.
+resamples of that same first-level sample. Each sample's single model and m
+members share a loop with as many other samples as the width rule allows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +56,7 @@ from .dataset import Dataset
 from .ensemble import Ensemble, _vote_rows
 from .errors import BagkitError, ConfigError, TrainingDiverged
 from .ioutil import atomic_write_text
-from .metrics import METRIC_NAMES, evaluate, mean_std
+from .metrics import METRIC_NAMES, EvalResult, evaluate, mean_std
 from .predictor import (
     FeatureSpec,
     Hyperparams,
@@ -63,7 +70,7 @@ from .predictor import (
     param_count,
 )
 from .prune import PruneSpec, prune_magnitude
-from .resample import BootstrapPlan, _task_seed, bootstrap, derive_seed, make_plan
+from .resample import BootstrapPlan, _draw, _task_seed, derive_seed, make_plan
 
 __all__ = [
     "MODEL_KINDS",
@@ -251,14 +258,12 @@ def _validate_structure(config: EnsembleConfig) -> None:
 class TaskData:
     """A task's datasets plus its headline metric (accuracy or macro_f1).
 
-    Also holds what a batch derives from the task alone and reuses across
-    members and configurations: one design matrix per (split, feature space),
-    one label array per split, one grid-search winner per (model kind,
-    feature space), one variance plan, and each unpruned model that announced
-    members ask for, until the last of them has it. Each member prunes a
-    copy. The rest lives as long as the TaskData. A loop that trains the fits
-    one configuration asks for also trains the task's other announced fits
-    that fit in it, so later configurations find them held.
+    Also keeps what a run derives from the task alone and reuses across
+    members and configurations, for as long as the TaskData lives: one
+    design matrix per (split, feature space), one label array per split, one
+    grid-search winner per (model kind, feature space) and one variance
+    plan. Trained models are not kept here: a schedule holds each only until
+    its last use (`_run_schedule`).
     """
 
     train: Dataset
@@ -285,94 +290,18 @@ class TaskData:
             self._cache[key] = getattr(self, split).labels()
         return self._cache[key]
 
-    def _search_request(self, kind: str, spec: FeatureSpec) -> tuple:
-        """The `_search` request for a model kind's grid search in one feature space."""
-        return (
-            DEFAULT_SEARCH_SPACE[kind],
-            self._matrix("train", spec),
-            self._labels("train"),
-            self._matrix("val", spec),
-            self._labels("val"),
-            self.train.num_classes,
-            self.metric,
-            spec,
-        )
+    def _member(self, fit: _Fit) -> _Member:
+        """The lockstep member of a fit, on the training-matrix rows its chain of samples draws.
 
-    def _searched(self, kind: str, spec: FeatureSpec) -> Hyperparams:
-        """The grid-search winner for a model kind; a search that diverges is not kept."""
-        (winner,) = _searched_all([(self, kind, spec)])
-        if isinstance(winner, TrainingDiverged):
-            raise winner
-        return winner
-
-    def _member(self, spec: FeatureSpec, hyper: Hyperparams, samples=()) -> _Member:
-        """A lockstep member on the rows of the training matrix a chain of samples draws.
-
-        Each sample of a chain addresses positions of the one before, so a
-        chain composes into one array of training-matrix rows; the empty
-        chain is every row.
+        Each sample of a chain addresses positions of the one before.
         """
         rows = np.arange(len(self.train))
-        for sample in samples:
-            rows = rows[np.array(sample.indices)]
+        for seed in fit.chain:
+            rows = rows[_draw(len(rows), seed)]
         return _Member(
-            self._matrix("train", spec), self._labels("train"), self.train.num_classes, spec,
-            hyper, rows,
+            self._matrix("train", fit.spec), self._labels("train"), self.train.num_classes,
+            fit.spec, fit.hyper, rows,
         )
-
-    def _train(self, spec: FeatureSpec, fits) -> list[Model | TrainingDiverged]:
-        """Models trained in lockstep, one per (hyperparameters, chain of bootstrap samples).
-
-        Nothing is kept.
-        """
-        outcomes: list = [None] * len(fits)
-        for i, outcome in _fit_groups([self._member(spec, *fit) for fit in fits]):
-            outcomes[i] = outcome
-        return outcomes
-
-    def _expect(self, spec: FeatureSpec, hyper: Hyperparams, sample_seed: int | None) -> None:
-        """Announce one more batch member that will ask `_fitted` for this model."""
-        key = ("uses", spec, hyper, sample_seed)
-        self._cache[key] = self._cache.get(key, 0) + 1
-
-    def _fitted(self, fits) -> list[Model | TrainingDiverged]:
-        """Batch members' unpruned models, per (feature space, hyperparameters, sample seed).
-
-        A sample seed of None is the full split. The fits not held train once
-        each, in lockstep loops (`_loops`), and each loop also takes the
-        announced fits not held yet that it has room for, nearest first in
-        announcement order; it holds them with their announced uses. An
-        outcome, a model or a divergence, is kept only while announced
-        members still ask for it, and dropped at its last use; an outcome
-        nobody announced is not kept.
-        """
-        models = {fit: self._cache.pop(("fit", *fit), None) for fit in dict.fromkeys(fits)}
-        missing = [fit for fit, model in models.items() if model is None]
-        if missing:
-            n = len(self.train)
-            ahead = [  # announced, neither asked for now nor held
-                key[1:] for key in self._cache
-                if key[0] == "uses" and key[1:] not in models
-                and ("fit", *key[1:]) not in self._cache
-            ]
-            everyone = missing + ahead
-            shapes = [_shape(spec, hyper, n, self.train.num_classes) for spec, hyper, _ in everyone]
-            for loop in _loops(shapes[: len(missing)], shapes[len(missing) :]):
-                members = [
-                    self._member(spec, hyper, () if seed is None else (bootstrap(n, seed),))
-                    for spec, hyper, seed in (everyone[i] for i in loop)
-                ]
-                for i, model in zip(loop, _fit_many(members)):
-                    if i < len(missing):
-                        models[everyone[i]] = model
-                    else:
-                        self._cache[("fit", *everyone[i])] = model
-        for fit, model in models.items():
-            asked = fits.count(fit)
-            uses_left = self._cache.pop(("uses", *fit), asked) - asked
-            if uses_left > 0:
-                self._cache[("fit", *fit)], self._cache[("uses", *fit)] = model, uses_left
-        return [models[fit] for fit in fits]
 
     def _plan(self, n: int, m: int, base_seed: int) -> BootstrapPlan:
         """The variance protocol's two-level plan over the training split."""
@@ -380,6 +309,32 @@ class TaskData:
         if key not in self._cache:
             self._cache[key] = make_plan(n, m, len(self.train), base_seed)
         return self._cache[key]
+
+
+class _Fit(NamedTuple):
+    """One model to train: task, feature space, hyperparameters (seed included), chain.
+
+    ``chain`` holds the seeds of the bootstrap samples the rows are drawn
+    through (`TaskData._member`); the empty chain is the full split.
+    """
+
+    task: str
+    spec: FeatureSpec
+    hyper: Hyperparams
+    chain: tuple[int, ...] = ()
+
+
+class _Consumer(NamedTuple):
+    """One scoring step of a schedule: its owner, its task, and the fits it reads, in order.
+
+    A batch's consumer is a (configuration, task) pair, a variance run's a
+    first-level sample, and a grid search's a request, with task None: every
+    search fills the others' loops, other consumers only their task's.
+    """
+
+    owner: int
+    task: str | None
+    fits: tuple[_Fit, ...]
 
 
 @dataclass(frozen=True)
@@ -426,98 +381,88 @@ def grid_search(
     Candidates are tried in order; exact ties keep the earliest. A candidate
     whose training diverges is skipped.
     """
-    request = (
-        tuple(space),
-        _design_matrix(train, feature_spec),
-        train.labels(),
-        _design_matrix(val, feature_spec),
-        val.labels(),
-        train.num_classes,
-        metric,
-        feature_spec,
-    )
-    (winner,) = _search([request])
+    if metric not in METRIC_NAMES:
+        raise ConfigError(f"unknown metric {metric!r}")
+    task = TaskData(train=train, val=val, test=val, metric=metric)  # the test split is not read
+    (winner,) = _search([("task", tuple(space), feature_spec)], {"task": task})
     if isinstance(winner, TrainingDiverged):
         raise winner
     return winner
 
 
-def _search(requests) -> list[Hyperparams | TrainingDiverged]:
-    """The grid-search loop: per request its winner, or the error if every candidate diverged.
+def _search(requests, data: dict[str, TaskData]) -> list[Hyperparams | TrainingDiverged]:
+    """The grid-search phase: per request its winner, or the error if every candidate diverged.
 
-    A request is ``(space, x_train, y_train, x_val, y_val, num_classes,
-    metric, spec)`` over design matrices already built. Every candidate of
-    every request trains through `_fit_groups`, so the searches of several
-    tasks and feature spaces share lockstep loops, and each model is scored
-    on its own request's validation matrix as its loop ends. The winner has
+    A request is ``(task, space, spec)``. Every candidate trains in one
+    schedule and is scored on its task's validation matrix. The winner has
     the best score; exact ties go to the earlier candidate, and a candidate
     whose training diverges is skipped.
     """
-    members, owners = [], []
-    for r, (space, x_train, y_train, _, _, num_classes, metric, spec) in enumerate(requests):
-        if not space:
-            raise ConfigError("grid_search requires a non-empty hyperparameter space")
-        if metric not in METRIC_NAMES:
-            raise ConfigError(f"unknown metric {metric!r}")
-        rows = np.arange(x_train.shape[0])
-        members += (_Member(x_train, y_train, num_classes, spec, h, rows) for h in space)
-        owners += ((r, c) for c in range(len(space)))
-    best: dict[int, tuple[float, int]] = {}  # request -> (score, -candidate)
-    for i, model in _fit_groups(members):
-        if isinstance(model, TrainingDiverged):
-            continue
-        r, c = owners[i]
-        _, _, _, x_val, y_val, num_classes, metric, _ = requests[r]
-        score = evaluate(_argmax_predictions(model, x_val), y_val, num_classes).metric(metric)
-        best[r] = max(best.get(r, (score, -c)), (score, -c))
-    return [
-        requests[r][0][-best[r][1]] if r in best
-        else TrainingDiverged("every candidate in the hyperparameter space diverged")
-        for r in range(len(requests))
-    ]
-
-
-def _searched_all(wanted) -> list[Hyperparams | TrainingDiverged]:
-    """Grid-search winners per (TaskData, model kind, feature space), in one `_search`.
-
-    A winner already held is reused; the others are searched together and
-    kept in their TaskData. A search that diverges is not kept.
-    """
-    held = [data._cache.get(("search", kind, spec)) for data, kind, spec in wanted]
-    todo = [want for want, winner in zip(wanted, held) if winner is None]
-    found = iter(_search([data._search_request(kind, spec) for data, kind, spec in todo])
-                 if todo else ())
+    if not all(space for _, space, _ in requests):
+        raise ConfigError("grid_search requires a non-empty hyperparameter space")
     winners = []
-    for (data, kind, spec), winner in zip(wanted, held):
-        if winner is None:
-            winner = next(found)
-            if not isinstance(winner, TrainingDiverged):
-                data._cache[("search", kind, spec)] = winner
-        winners.append(winner)
+
+    def score(consumer: _Consumer, models) -> None:
+        task, space, spec = requests[consumer.owner]
+        task_data, best = data[task], None
+        x_val, y_val = task_data._matrix("val", spec), task_data._labels("val")
+        for hyper, model in zip(space, models):
+            if not isinstance(model, TrainingDiverged):
+                preds = _argmax_predictions(model, x_val)
+                value = evaluate(preds, y_val, task_data.val.num_classes).metric(task_data.metric)
+                if best is None or value > best[0]:
+                    best = value, hyper
+        winners.append(
+            TrainingDiverged("every candidate in the hyperparameter space diverged")
+            if best is None else best[1]
+        )
+
+    consumers = [
+        _Consumer(r, None, tuple(_Fit(task, spec, hyper) for hyper in space))
+        for r, (task, space, spec) in enumerate(requests)
+    ]
+    _run_schedule(consumers, data, score)
     return winners
 
 
-def _member_params(spec: FeatureSpec, hidden_size: int, num_classes: int) -> int:
-    """Parameters of one member: the width a member adds to a lockstep group."""
-    return sum(_expected_shapes(spec, hidden_size, num_classes).values())
+def _batch_winners(configs, data: dict[str, TaskData]) -> dict:
+    """The grid-search winners, or divergences, per (task, model kind, feature space).
+
+    These are what configurations with only known tasks need. A winner a
+    TaskData holds is reused; the others are searched in one `_search` and
+    kept, unless they diverged.
+    """
+    wanted = dict.fromkeys(
+        (task, m.model_kind, m.feature_spec)
+        for config in configs if all(task in data for task in config.tasks)
+        for task in config.tasks
+        for m in config.members
+        if m.hyper_override is None
+    )
+    winners = {want: data[want[0]]._cache.get(("search", *want[1:])) for want in wanted}
+    todo = [want for want, winner in winners.items() if winner is None]
+    requests = [(task, DEFAULT_SEARCH_SPACE[kind], spec) for task, kind, spec in todo]
+    for (task, kind, spec), winner in zip(todo, _search(requests, data)):
+        winners[(task, kind, spec)] = winner
+        if not isinstance(winner, TrainingDiverged):
+            data[task]._cache[("search", kind, spec)] = winner
+    return winners
 
 
 def _shape(spec: FeatureSpec, hyper: Hyperparams, rows: int, num_classes: int) -> tuple:
     """A member's lockstep key (the loops it may join) and its parameter count."""
     key = (hyper.hidden_size, hyper.epochs, rows, num_classes)
-    return key, _member_params(spec, hyper.hidden_size, num_classes)
+    return key, sum(_expected_shapes(spec, hyper.hidden_size, num_classes).values())
 
 
-def _loops(shapes, extras=()) -> list[list[int]]:
-    """The width rule: the lockstep loops of members, as indices into ``shapes`` then ``extras``.
+def _loops(shapes) -> list[list]:
+    """The width rule: the lockstep loops of members, ``[key, width, indices into shapes]`` each.
 
-    ``shapes`` and ``extras`` hold each member's `_shape`. Members share a
-    loop only under one key. Within a key, the members of one size train
-    together, in loops of ``_MAX_GROUP_PARAMS // size`` members (at least
-    one). Sizes go largest first, and the members of a size join the loop
-    before them, padded to its width, if `_joins` allows. Then each extra,
-    in order, joins the first loop of its key that `_joins` allows; no loop
-    trains extras alone.
+    ``shapes`` holds each member's `_shape`. Members share a loop only under
+    one key. Within a key, the members of one size train together, in loops
+    of ``_MAX_GROUP_PARAMS // size`` members (at least one). Sizes go
+    largest first, and the members of a size join the loop before them,
+    padded to its width, if `_joins` allows.
     """
     by_key: dict = {}
     for i, (key, size) in enumerate(shapes):
@@ -526,21 +471,16 @@ def _loops(shapes, extras=()) -> list[list[int]]:
     for key, sizes in by_key.items():
         for size in sorted(sizes, reverse=True):
             group = sizes[size]
-            if loops and loops[-1][0] == key and _joins(loops[-1], size, len(group)):
+            if loops and loops[-1][0] == key and _joins(loops[-1], [size] * len(group)):
                 loops[-1][2] += group
                 continue
             per = max(1, _MAX_GROUP_PARAMS // size)
             loops += ([key, size, group[at : at + per]] for at in range(0, len(group), per))
-    for j, (key, size) in enumerate(extras, len(shapes)):
-        loop = next((loop for loop in loops if loop[0] == key and _joins(loop, size, 1)), None)
-        if loop is not None:
-            loop[1] = max(loop[1], size)
-            loop[2].append(j)
-    return [members for _, _, members in loops]
+    return loops
 
 
-def _joins(loop: list, size: int, count: int) -> bool:
-    """Whether ``count`` members of ``size`` parameters may join a loop.
+def _joins(loop: list, sizes: list[int]) -> bool:
+    """Whether members of ``sizes`` parameters may join a ``[key, width, members]`` loop together.
 
     The loop then stacks at most `_MAX_GROUP_PARAMS` parameters, and the
     join adds at most `_MAX_PADDING` padded ones: the smaller members'
@@ -548,20 +488,82 @@ def _joins(loop: list, size: int, count: int) -> bool:
     newcomer.
     """
     _, width, members = loop
-    padded = (len(members) + count) * max(width, size)
-    added = padded - len(members) * width - count * size
+    widest = max(width, *sizes)
+    padded = (len(members) + len(sizes)) * widest
+    added = padded - len(members) * width - sum(sizes)
     return padded <= _MAX_GROUP_PARAMS and added <= _MAX_PADDING
 
 
-def _fit_groups(members):
-    """`_fit_many` over members that may differ in anything: (index, outcome) per member.
+def _schedule(consumers, data: dict[str, TaskData]) -> list[list[_Fit]]:
+    """The planner: the lockstep loops that train every fit the consumers read, in running order.
 
-    The members train in the lockstep loops of the width rule (`_loops`),
-    and each loop's outcomes are yielded as it ends.
+    Nothing trains. Walking the consumers in order, the fits of one that no
+    loop trains yet start loops (`_loops`); then each later consumer of its
+    task puts its unplaced fits of a new loop's key into it, all or none
+    (`_joins`). So a loop runs before the first consumer that reads it.
     """
-    shapes = [_shape(m.spec, m.hyper, len(m.rows), m.num_classes) for m in members]
-    for loop in _loops(shapes):
-        yield from zip(loop, _fit_many([members[i] for i in loop]))
+    trains = {fit: data[fit.task].train for consumer in consumers for fit in consumer.fits}
+    shapes = {fit: _shape(fit.spec, fit.hyper, len(t), t.num_classes) for fit, t in trains.items()}
+    placed: set[_Fit] = set()
+    plan = []
+    for at, consumer in enumerate(consumers):
+        new = [fit for fit in dict.fromkeys(consumer.fits) if fit not in placed]
+        placed.update(new)
+        loops = [[key, width, [new[i] for i in members]]
+                 for key, width, members in _loops([shapes[fit] for fit in new])]
+        for later in consumers[at + 1 :] if loops else ():
+            for loop in loops if later.task == consumer.task else ():
+                join = [fit for fit in dict.fromkeys(later.fits)
+                        if fit not in placed and shapes[fit][0] == loop[0]]
+                sizes = [shapes[fit][1] for fit in join]
+                if join and _joins(loop, sizes):
+                    loop[1] = max(loop[1], *sizes)
+                    loop[2] += join
+                    placed.update(join)
+        plan += [fits for _, _, fits in loops]
+    return plan
+
+
+def _run_schedule(consumers, data: dict[str, TaskData], score) -> dict[int, BagkitError]:
+    """The executor: train the planned loops in order, and score the consumers in order.
+
+    A consumer is scored once its fits are held: ``score(consumer,
+    outcomes)`` gets their models or divergences in its fit order. Each is
+    held from its loop to its last use. An error ``score`` raises fails the
+    consumer's owner, whose later consumers are skipped, so a loop trains
+    only fits still to be used. Returns each failed owner's error, without
+    the traceback that would keep the consumer's models alive.
+    """
+    uses = Counter(fit for consumer in consumers for fit in set(consumer.fits))
+    held: dict[_Fit, Model | TrainingDiverged] = {}
+    errors: dict[int, BagkitError] = {}
+
+    def release(consumer: _Consumer) -> None:
+        for fit in set(consumer.fits):
+            uses[fit] -= 1
+            if not uses[fit]:
+                held.pop(fit, None)
+
+    at = 0
+    for loop in _schedule(consumers, data):
+        live = [fit for fit in loop if uses[fit]]
+        if live:
+            held.update(zip(live, _fit_many([data[fit.task]._member(fit) for fit in live])))
+        while at < len(consumers) and (
+            consumers[at].owner in errors or all(fit in held for fit in consumers[at].fits)
+        ):
+            consumer, at = consumers[at], at + 1
+            if consumer.owner in errors:
+                continue
+            try:
+                score(consumer, [held[fit] for fit in consumer.fits])
+            except BagkitError as exc:
+                errors[consumer.owner] = exc.with_traceback(None)
+                for later in consumers[at:]:
+                    if later.owner == consumer.owner:
+                        release(later)
+            release(consumer)
+    return errors
 
 
 def _member_seeds(config: EnsembleConfig, task: str) -> tuple[int, list[int | None]]:
@@ -585,98 +587,97 @@ def _pruned(model: Model, member: MemberSpec) -> Model:
     return model
 
 
-def _test_vote(models: list[Model], task_data: TaskData) -> np.ndarray:
-    """Soft-vote winners of the models on the task's test split."""
+def _test_vote(models: list[Model], task_data: TaskData) -> EvalResult:
+    """The evaluation of the models' soft vote on the task's test split."""
     voters = Ensemble(members=tuple(models), num_classes=task_data.test.num_classes)
     member_probs = [_forward_proba(m, task_data._matrix("test", m.spec)) for m in voters.members]
     winners, _ = _vote_rows(voters, member_probs)
-    return winners
+    return evaluate(winners, task_data._labels("test"), task_data.test.num_classes)
 
 
-def _member_fits(config: EnsembleConfig, task: str, task_data: TaskData):
-    """Per member: feature space, hyperparameters (seed included), sample seed or None."""
-    full_data_seed, sample_seeds = _member_seeds(config, task)
-    for member, sample_seed in zip(config.members, sample_seeds):
-        hyper = member.hyper_override or task_data._searched(member.model_kind, member.feature_spec)
-        seed = full_data_seed if sample_seed is None else sample_seed
-        yield member.feature_spec, replace(hyper, seed=seed), sample_seed
+def _batch_consumers(
+    configs, data: dict[str, TaskData], winners: dict
+) -> tuple[list[_Consumer], dict[int, BagkitError]]:
+    """A batch's consumers, one per (configuration, task) pair in order, and its early failures.
 
-
-def _expect_fits(configs, data: dict[str, TaskData]) -> None:
-    """Search for, then announce, every member of a batch before the batch runs.
-
-    Every grid search the batch's configurations need runs first, all in
-    one `_search`. Then each member is announced to its TaskData, so a model
-    that several members share trains once and is dropped at its last use,
-    and a loop can train models announced for later configurations. A
-    configuration with an unknown task or a diverging grid search announces
-    nothing: it fails before any of its members train.
+    A configuration with an unknown task has no consumers. One whose grid
+    search diverged on a task has consumers for its earlier tasks only.
     """
-    configs = [c for c in configs if all(task in data for task in c.tasks)]
-    wanted = {
-        (task, m.model_kind, m.feature_spec): (data[task], m.model_kind, m.feature_spec)
-        for config in configs
-        for task in config.tasks
-        for m in config.members
-        if m.hyper_override is None
-    }
-    diverged = {
-        want for want, winner in zip(wanted, _searched_all(list(wanted.values())))
-        if isinstance(winner, TrainingDiverged)
-    }
-    for config in configs:
-        if any((task, m.model_kind, m.feature_spec) in diverged
-               for task in config.tasks for m in config.members):
-            continue
-        for task in config.tasks:
-            for fit in _member_fits(config, task, data[task]):
-                data[task]._expect(*fit)
+    consumers, failed = [], {}
+    for i, config in enumerate(configs):
+        missing = [t for t in config.tasks if t not in data]
+        if missing:
+            failed[i] = ConfigError(f"config {config.config_id!r}: unknown tasks {missing}")
+        for task in () if missing else config.tasks:
+            hypers = [m.hyper_override or winners[(task, m.model_kind, m.feature_spec)]
+                      for m in config.members]
+            diverged = [h for h in hypers if isinstance(h, TrainingDiverged)]
+            if diverged:
+                failed[i] = diverged[0]
+                break
+            full_data_seed, sample_seeds = _member_seeds(config, task)
+            consumers.append(_Consumer(i, task, tuple(
+                _Fit(task, m.feature_spec, replace(hyper, seed=full_data_seed), ())
+                if seed is None else _Fit(task, m.feature_spec, replace(hyper, seed=seed), (seed,))
+                for m, hyper, seed in zip(config.members, hypers, sample_seeds)
+            )))
+    return consumers, failed
 
 
-def _train_members(
-    config: EnsembleConfig, task: str, task_data: TaskData
-) -> list[Model]:
-    fitted = task_data._fitted(list(_member_fits(config, task, task_data)))
-    models: list[Model] = []
-    for k, (member, model) in enumerate(zip(config.members, fitted)):
-        if isinstance(model, TrainingDiverged):
-            raise TrainingDiverged(
-                f"config {config.config_id!r}, task {task!r}, member {k}: {model}"
-            ) from model
-        models.append(_pruned(model, member))
-    return models
+def _run_batch(configs, data: dict[str, TaskData]) -> list[ConfigResult | BagkitError]:
+    """Each configuration's result, or the error it failed with, in order, from one schedule.
+
+    The grid searches run first (`_batch_winners`): members take their
+    hyperparameters from the winners.
+    """
+    consumers, failed = _batch_consumers(configs, data, _batch_winners(configs, data))
+    scored: dict[int, list] = {}  # configuration -> (task, evaluation, parameters) per task
+
+    def score(consumer: _Consumer, outcomes) -> None:
+        config, task = configs[consumer.owner], consumer.task
+        models = []
+        for k, (member, model) in enumerate(zip(config.members, outcomes)):
+            if isinstance(model, TrainingDiverged):
+                raise TrainingDiverged(
+                    f"config {config.config_id!r}, task {task!r}, member {k}: {model}"
+                ) from model
+            models.append(_pruned(model, member))
+        scored.setdefault(consumer.owner, []).append(
+            (task, _test_vote(models, data[task]), sum(param_count(m) for m in models))
+        )
+
+    # A scoring error comes from a task before any search that diverged.
+    failed.update(_run_schedule(consumers, data, score))
+    return [
+        failed[i] if i in failed else _config_result(config, data, scored[i])
+        for i, config in enumerate(configs)
+    ]
 
 
-def run_config(config: EnsembleConfig, data: dict[str, TaskData]) -> ConfigResult:
-    """Train, prune, vote, and evaluate one configuration on all its tasks."""
-    missing = [t for t in config.tasks if t not in data]
-    if missing:
-        raise ConfigError(f"config {config.config_id!r}: unknown tasks {missing}")
-
-    task_accuracy: dict[str, float] = {}
-    task_macro_f1: dict[str, float] = {}
-    total_params = 0
-    for task in config.tasks:
-        task_data = data[task]
-        models = _train_members(config, task, task_data)
-        winners = _test_vote(models, task_data)
-        result = evaluate(winners, task_data.test.labels(), task_data.test.num_classes)
-        task_accuracy[task] = result.accuracy
-        if task_data.metric == "macro_f1":
-            task_macro_f1[task] = result.macro_f1
-        # Output heads differ across tasks with different class counts;
-        # report the largest task's footprint as the configuration size.
-        total_params = max(total_params, sum(param_count(m) for m in models))
-
+def _config_result(config: EnsembleConfig, data: dict[str, TaskData], scored) -> ConfigResult:
+    """A configuration's result from its (task, evaluation, parameters) per task."""
+    task_accuracy = {task: result.accuracy for task, result, _ in scored}
     return ConfigResult(
         config_id=config.config_id,
         task_accuracy=task_accuracy,
-        task_macro_f1=task_macro_f1,
+        task_macro_f1={
+            task: result.macro_f1 for task, result, _ in scored if data[task].metric == "macro_f1"
+        },
         avg_accuracy=float(np.mean(list(task_accuracy.values()))),
         experiment_type=CONFIG_TYPE_LABELS[config.config_type],
         models=tuple(m.describe() for m in config.members),
-        total_params=total_params,
+        # Output heads differ across tasks with different class counts;
+        # report the largest task's footprint as the configuration size.
+        total_params=max(params for _, _, params in scored),
     )
+
+
+def run_config(config: EnsembleConfig, data: dict[str, TaskData]) -> ConfigResult:
+    """Train, prune, vote, and evaluate one configuration on all its tasks: a batch of one."""
+    (outcome,) = _run_batch([config], data)
+    if isinstance(outcome, BagkitError):
+        raise outcome
+    return outcome
 
 
 def variance_analysis(
@@ -697,38 +698,33 @@ def variance_analysis(
     if n < 2:
         raise ConfigError(f"variance analysis requires n >= 2, got {n}")
     plan = task_data._plan(n, m, base_seed)
-    hyper_base = member.hyper_override or DEFAULT_HYPER[member.model_kind]
-    test_labels = task_data.test.labels()
+    hyper = member.hyper_override or DEFAULT_HYPER[member.model_kind]
+    test_labels = task_data._labels("test")
     num_classes = task_data.test.num_classes
     x_test = task_data._matrix("test", member.feature_spec)
-    # As many first-level samples per lockstep group as the width rule allows,
-    # each sample's single model and m ensemble members counted.
-    samples = list(zip(plan.first_level, plan.second_level))
-    params = _member_params(member.feature_spec, hyper_base.hidden_size, num_classes)
-    per_group = max(1, _MAX_GROUP_PARAMS // ((m + 1) * params))
-
+    # One consumer per first-level sample: its single model, then its
+    # ensemble's members, each seeded by the last sample of its chain.
+    consumers = [
+        _Consumer(0, task_name, tuple(
+            _Fit(task_name, member.feature_spec, replace(hyper, seed=chain[-1]), chain)
+            for chain in [(first.seed,)] + [(first.seed, s.seed) for s in second]
+        ))
+        for first, second in zip(plan.first_level, plan.second_level)
+    ]
     singles: list[float] = []
     ensembles: list[float] = []
-    for at in range(0, n, per_group):
-        # Per first-level sample, the single model, then its ensemble's
-        # members, each seeded by the last sample of its chain. Only this
-        # group's models are held.
-        fits = [
-            (replace(hyper_base, seed=chain[-1].seed), chain)
-            for first, second in samples[at : at + per_group]
-            for chain in [(first,)] + [(first, s) for s in second]
-        ]
-        models = task_data._train(member.feature_spec, fits)
-        for model in models:
+
+    def score(consumer: _Consumer, outcomes) -> None:
+        for model in outcomes:
             if isinstance(model, TrainingDiverged):
                 raise model
-        for i in range(0, len(models), m + 1):
-            single, *ensemble = (_pruned(model, member) for model in models[i : i + m + 1])
-            preds = _argmax_predictions(single, x_test)
-            singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
-            winners = _test_vote(ensemble, task_data)
-            ensembles.append(evaluate(winners, test_labels, num_classes).metric(task_data.metric))
+        single, *ensemble = (_pruned(model, member) for model in outcomes)
+        preds = _argmax_predictions(single, x_test)
+        singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
+        ensembles.append(_test_vote(ensemble, task_data).metric(task_data.metric))
 
+    for error in _run_schedule(consumers, {task_name: task_data}, score).values():
+        raise error
     single_mean, single_std = mean_std(singles)
     ensemble_mean, ensemble_std = mean_std(ensembles)
     return VarianceReport(

@@ -278,14 +278,11 @@ class _Rows:
         cells = None if self.cells is None else (self.cells[1], self.cells[0], self.cells[2])
         return _Rows(self.data, self.row, self.shape[::-1], row=self.col, cells=cells)
 
-    def __getitem__(self, rows: np.ndarray) -> _Rows:
-        return self.gather(rows)
-
     def gather(
         self, rows: np.ndarray, members: int = 1, k: int | None = None,
         work: _Workspace | None = None,
     ) -> _Rows:
-        """``self[rows]`` where ``rows`` holds an equal run of rows per member, in turn.
+        """The matrix's rows ``rows``, which hold an equal run of rows per member, in turn.
 
         Member m's columns are offset by ``m * width``, so one product with the
         members' weights stacked into ``(members * width, k)`` serves them all,

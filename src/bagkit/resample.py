@@ -107,15 +107,18 @@ class BootstrapPlan:
             raise DataError("derived sample seeds collide; change base_seed")
 
 
+def _draw(dataset_size: int, seed: int) -> np.ndarray:
+    """The indices of seed's bootstrap sample, as an array: what `bootstrap` draws."""
+    return np.random.default_rng(seed).integers(0, dataset_size, size=dataset_size)
+
+
 def bootstrap(dataset_size: int, seed: int) -> BootstrapSample:
     """Draw dataset_size indices uniformly with replacement, deterministically."""
     if dataset_size < 1:
         raise DataError("bootstrap requires dataset_size >= 1")
-    rng = np.random.default_rng(seed)
-    indices = rng.integers(0, dataset_size, size=dataset_size)
     return BootstrapSample(
         source_size=dataset_size,
-        indices=tuple(indices.tolist()),
+        indices=tuple(_draw(dataset_size, seed).tolist()),
         seed=seed,
     )
 

@@ -51,7 +51,7 @@ def record_loops(monkeypatch):
 
     def fit_many(members):
         widest = max(
-            experiment._member_params(m.spec, m.hyper.hidden_size, m.num_classes) for m in members
+            experiment._shape(m.spec, m.hyper, len(m.rows), m.num_classes)[1] for m in members
         )
         loops.append(Loop(
             tuple(members),
@@ -62,10 +62,10 @@ def record_loops(monkeypatch):
         ))
         return real_fit_many(members)
 
-    def search(requests):
+    def search(*args):
         searching.append(True)
         try:
-            return real_search(requests)
+            return real_search(*args)
         finally:
             searching.pop()
 

@@ -20,6 +20,7 @@ from bagkit.cli import (
     EXIT_VALIDATION,
     main,
 )
+from bagkit.config import load_data_dir, parse_config_file
 from bagkit.predictor import FeatureSpec, Hyperparams, fit, load_model, save_model
 from bagkit.prune import PruneSpec, prune_magnitude, sparsity
 from bagkit.toy import synthetic_task
@@ -204,12 +205,31 @@ class TestRun:
         assert "FAILED" in err and "missing-task" in err
 
     def test_batch_work_counts(self, toy_workspace, tmp_path, monkeypatch):
-        # 9 searches of 4 candidates in one batch search: one lockstep loop
-        # per class count (topics2 and pairs2 together, topics3 alone). Then
-        # 21 distinct members of the 33 declared (t3 reuses t2's unpruned
-        # fits, t5 reuses t1's full-data logreg): per task, t1's loop also
-        # trains t2's and t4's members, and t5's MLP trains alone. One design
-        # matrix per (task, split, feature space).
+        # The toy schedule, built without training. 9 searches of 4
+        # candidates in one batch search: one lockstep loop per class count
+        # (topics2 and pairs2 together, topics3 alone). Then 21 distinct
+        # members of the 33 declared (t3 reuses t2's unpruned fits, t5 reuses
+        # t1's full-data logreg): per task, t1's loop also trains t2's and
+        # t4's members, and t5's MLP trains alone.
+        configs = parse_config_file(toy_workspace / "configs.json")
+        data = load_data_dir(toy_workspace / "data", sorted({t for c in configs for t in c.tasks}))
+        wanted = dict.fromkeys(
+            (task, m.model_kind, m.feature_spec)
+            for c in configs for task in c.tasks for m in c.members if m.hyper_override is None
+        )
+        search = experiment._loops([
+            experiment._shape(spec, hyper, len(data[task].train), data[task].train.num_classes)
+            for task, kind, spec in wanted for hyper in experiment.DEFAULT_SEARCH_SPACE[kind]
+        ])
+        # Any winner gives the same plan: only shapes and identity matter.
+        winners = {want: experiment.DEFAULT_HYPER[want[1]] for want in wanted}
+        plan = experiment._schedule(experiment._batch_consumers(configs, data, winners)[0], data)
+        assert [len(members) for _, _, members in search] == [24, 12]
+        assert [len(loop) for loop in plan] == [6, 6, 6, 1, 1, 1]
+        assert sum(len(members) for *_, members in search) + sum(map(len, plan)) == 57
+        assert not any(td._cache for td in data.values())  # nothing built, nothing trained
+
+        # The run follows the plan, with one design matrix per (task, split, feature space).
         loops = record_loops(monkeypatch)
         calls = count_calls(monkeypatch, experiment, ("_search", "_design_matrix"))
         code = run_cli(
@@ -220,8 +240,10 @@ class TestRun:
         )
         assert code == EXIT_OK
         assert calls == {"_search": 1, "_design_matrix": 27}
-        assert sum(len(loop.members) for loop in loops) == 57
         assert [len(loop.members) for loop in loops] == [24, 12, 6, 6, 6, 1, 1, 1]
+        assert [[m.spec for m in loop.members] for loop in loops[2:]] == [
+            [fit.spec for fit in loop] for loop in plan
+        ]
         assert [loop.search for loop in loops] == [True] * 2 + [False] * 6
         assert [loop.sources for loop in loops] == [6, 3, 3, 3, 3, 1, 1, 1]
 

@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -27,7 +28,6 @@ from bagkit.predictor import (
     Hyperparams,
     _design_matrix,
     _fit_rows,
-    _Member,
     fit,
     param_count,
     predict_proba_dataset,
@@ -50,9 +50,12 @@ def fresh(task):
     return TaskData(train=task.train, val=task.val, test=task.test, metric=task.metric)
 
 
-def fit_entries(task_data):
-    """The cached models and announced uses a TaskData holds."""
-    return [key for key in task_data._cache if key[0] in ("fit", "uses")]
+KEPT = {"rows", "labels", "search", "plan"}  # what a TaskData may keep: never a model
+
+
+def kept(task_data):
+    """The kinds of entry a TaskData keeps."""
+    return {key[0] for key in task_data._cache}
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +258,7 @@ class TestRowGatherTraining:
         assert len(set(sample.indices)) < len(train)  # rows drawn more than once
         rows = np.array(sample.indices)
         x, y = _design_matrix(train, SPEC), train.labels()
-        gathered = _fit_rows(x[rows], y[rows], train.num_classes, SPEC, hyper)
+        gathered = _fit_rows(x.gather(rows), y[rows], train.num_classes, SPEC, hyper)
         self.assert_same_params(gathered, fit(materialize(train, sample), SPEC, hyper))
 
     @pytest.mark.parametrize("hyper", HYPERS, ids=["logreg", "mlp"])
@@ -264,9 +267,9 @@ class TestRowGatherTraining:
         first, second = bootstrap(len(train), 21), bootstrap(len(train), 22)
         x, y = _design_matrix(train, SPEC), train.labels()
         rows = np.array(first.indices)
-        first_rows, first_y = x[rows], y[rows]
+        first_rows, first_y = x.gather(rows), y[rows]
         rows = np.array(second.indices)
-        gathered = _fit_rows(first_rows[rows], first_y[rows], train.num_classes, SPEC, hyper)
+        gathered = _fit_rows(first_rows.gather(rows), first_y[rows], train.num_classes, SPEC, hyper)
         replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
         self.assert_same_params(gathered, replayed)
 
@@ -274,9 +277,14 @@ class TestRowGatherTraining:
     def test_train_composes_the_whole_chain(self, task_acc, hyper):
         train = task_acc.train
         first, other_first, second = (bootstrap(len(train), seed) for seed in (21, 23, 22))
-        data = fresh(task_acc)
-        chains = [(hyper, (first, second)), (hyper, (other_first, second))]
-        chained, other = data._train(SPEC, chains)
+        fits = tuple(
+            experiment._Fit("acc2", SPEC, hyper, (head.seed, second.seed))
+            for head in (first, other_first)
+        )
+        outcomes = []
+        experiment._run_schedule([experiment._Consumer(0, "acc2", fits)], {"acc2": fresh(task_acc)},
+                                 lambda consumer, models: outcomes.extend(models))
+        chained, other = outcomes
         replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
         self.assert_same_params(chained, replayed)
         assert not all(np.array_equal(chained.params[k], other.params[k]) for k in other.params)
@@ -293,10 +301,10 @@ class TestTaskCache:
             builds[(id(examples), spec)] += 1
             return real_build(examples, spec)
 
-        def search(requests):
+        def search(requests, data):
             # One count per request, keyed by its feature space, the last field.
             searches.update(request[-1] for request in requests)
-            return real_search(requests)
+            return real_search(requests, data)
 
         monkeypatch.setattr(experiment, "_design_matrix", build)
         monkeypatch.setattr(experiment, "_search", search)
@@ -335,13 +343,12 @@ class TestTaskCache:
         assert expected[0].task_accuracy != expected[2].task_accuracy  # the prune shows
         loops = record_loops(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
-        experiment._expect_fits(configs, shared)
-        assert [run_config(c, shared) for c in configs] == expected
+        assert experiment._run_batch(configs, shared) == expected
         # Four search candidates, then one full-data logreg, two bagged members, one MLP.
         fits = self.trained(loops)
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 4
         assert set(fits.values()) == {1}
-        assert fit_entries(shared["acc2"]) == []  # each shared model dropped at its last use
+        assert kept(shared["acc2"]) <= KEPT
 
     def test_unannounced_members_are_not_kept(self, task_acc, monkeypatch):
         configs = [
@@ -355,7 +362,7 @@ class TestTaskCache:
             run_config(config, shared)
         fits = self.trained(loops)
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 2 * 2
-        assert fit_entries(shared["acc2"]) == []
+        assert kept(shared["acc2"]) <= KEPT
 
     @pytest.mark.parametrize("announced", [True, False], ids=["announced", "unannounced"])
     def test_identical_members_of_one_configuration_train_once(
@@ -365,21 +372,32 @@ class TestTaskCache:
         expected = run_config(config, {"acc2": fresh(task_acc)})
         loops = record_loops(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
-        if announced:
-            experiment._expect_fits([config], shared)
-        assert run_config(config, shared) == expected
+        if announced:  # as a batch of one
+            (result,) = experiment._run_batch([config], shared)
+        else:
+            result = run_config(config, shared)
+        assert result == expected
         fits = self.trained(loops)
         assert sum(fits.values()) == len(DEFAULT_SEARCH_SPACE["logreg"]) + 1
-        assert fit_entries(shared["acc2"]) == []
+        assert kept(shared["acc2"]) <= KEPT
 
     def test_shared_model_dropped_at_last_use(self, task_acc):
-        data, hyper = fresh(task_acc), Hyperparams(epochs=2, seed=3)
-        data._expect(SPEC, hyper, 11)
-        data._expect(SPEC, hyper, 11)
-        (first,) = data._fitted([(SPEC, hyper, 11)])
-        assert len(fit_entries(data)) == 2  # the model and its one remaining use
-        assert data._fitted([(SPEC, hyper, 11)])[0] is first
-        assert fit_entries(data) == []
+        data, hyper = {"acc2": fresh(task_acc)}, Hyperparams(epochs=2, seed=3)
+        shared = experiment._Fit("acc2", SPEC, hyper, (11,))
+        later = experiment._Fit("acc2", SPEC, replace(hyper, epochs=3), (11,))  # its own loop
+        consumers = [experiment._Consumer(k, "acc2", fits)
+                     for k, fits in enumerate([(shared,), (shared, shared), (later,)])]
+        assert experiment._schedule(consumers, data) == [[shared], [later]]
+        seen = []
+
+        def score(consumer, models):
+            if seen:  # the model the first consumer had, alive only while still read
+                assert (seen[0]() is models[0]) == (consumer.owner == 1)
+                assert (seen[0]() is None) == (consumer.owner == 2)
+            seen.append(weakref.ref(models[0]))
+
+        assert experiment._run_schedule(consumers, data, score) == {}
+        assert len(seen) == 3
 
     def test_diverged_member_is_not_kept(self, task_acc, monkeypatch):
         diverging = member(hyper=Hyperparams(learning_rate=1e6, l2=1e-4))
@@ -401,17 +419,18 @@ class TestTaskCache:
         ]
         with pytest.raises(TrainingDiverged) as alone:
             run_config(configs[1], {"acc2": fresh(task_acc)})
+        expected = run_config(configs[0], {"acc2": fresh(task_acc)})
         loops = record_loops(monkeypatch)
         shared = {"acc2": fresh(task_acc)}
-        experiment._expect_fits(configs, shared)
-        run_config(configs[0], shared)  # its loop also trains the diverging fit b and c ask for
-        for config in configs[1:]:
-            with pytest.raises(TrainingDiverged) as failed:
-                run_config(config, shared)
-            assert str(failed.value).split(":", 1)[1] == str(alone.value).split(":", 1)[1]
+        # b's loop trains the diverging fit; c reads the held divergence.
+        result, *failures = experiment._run_batch(configs, shared)
+        assert result == expected
+        for failed in failures:
+            assert isinstance(failed, TrainingDiverged)
+            assert str(failed).split(":", 1)[1] == str(alone.value).split(":", 1)[1]
         fits = self.trained(loops)
         assert sum(n for (_, hyper), n in fits.items() if hyper.learning_rate == 1e40) == 1
-        assert fit_entries(shared["acc2"]) == []
+        assert kept(shared["acc2"]) <= KEPT
 
     def test_diverged_search_is_not_kept(self, task_acc, monkeypatch):
         monkeypatch.setitem(
@@ -442,7 +461,7 @@ class TestVarianceAnalysis:
         data = fresh(task_acc)
         variance_analysis(data, member(bagged=True, hyper=Hyperparams(epochs=2)), n=3, m=2,
                           base_seed=8)
-        assert fit_entries(data) == []
+        assert kept(data) <= KEPT
 
     def test_n_below_two_rejected(self, task_acc):
         with pytest.raises(ConfigError):
@@ -492,14 +511,16 @@ class TestWidthRule:
             )
         ]
         row_sets = [np.array(bootstrap(n, 50 + i).indices) for i in range(len(hypers))]
-        members = [_Member(x, y, 2, SPEC, hyper, rows) for hyper, rows in zip(hypers, row_sets)]
-        outcomes = [None] * len(members)
-        for i, outcome in experiment._fit_groups(members):
-            outcomes[i] = outcome
+        fits = tuple(
+            experiment._Fit("acc2", SPEC, hyper, (50 + i,)) for i, hyper in enumerate(hypers)
+        )
+        outcomes = []
+        experiment._run_schedule([experiment._Consumer(0, "acc2", fits)], {"acc2": fresh(task_acc)},
+                                 lambda consumer, models: outcomes.extend(models))
         assert [len(loop.members) for loop in loops] == [2, 2, 1, 2]  # epochs 3: 5; 30: 2
         for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
             try:
-                alone = _fit_rows(x[rows], y[rows], 2, SPEC, hyper)
+                alone = _fit_rows(x.gather(rows), y[rows], 2, SPEC, hyper)
             except TrainingDiverged as exc:
                 assert str(outcome) == str(exc)
                 continue
@@ -510,7 +531,7 @@ class TestWidthRule:
 
 
 class TestBatchLoops:
-    """A batch's searches, and a task's announced fits, share loops across feature spaces."""
+    """A batch's searches, and a task's scheduled fits, share loops across feature spaces."""
 
     SMALL, WIDE = FeatureSpec(dims=64), FeatureSpec(dims=512)
 
@@ -537,7 +558,7 @@ class TestBatchLoops:
     def test_batch_search_winners_equal_grid_search(self, tasks, monkeypatch):
         data = {name: fresh(task) for name, task in tasks.items()}
         loops = record_loops(monkeypatch)
-        experiment._expect_fits(self.configs(), data)
+        winners = experiment._batch_winners(self.configs(), data)
         # 2 tasks x 2 feature spaces x 4 candidates, in one loop over 4 design matrices.
         assert [(len(loop.members), loop.sources, loop.search) for loop in loops] == [
             (16, 4, True)
@@ -548,46 +569,93 @@ class TestBatchLoops:
                     DEFAULT_SEARCH_SPACE["logreg"], task.train, task.val, task.metric, spec
                 )
                 assert data[name]._cache[("search", "logreg", spec)] == expected
+                assert winners[name, "logreg", spec] == expected
 
     def test_standalone_runs_equal_the_batch(self, tasks, monkeypatch):
         configs = self.configs()
         alone = [run_config(c, {name: fresh(task) for name, task in tasks.items()})
                  for c in configs]
-        loops = record_loops(monkeypatch)
         data = {name: fresh(task) for name, task in tasks.items()}
-        experiment._expect_fits(configs, data)
-        results = [run_config(configs[0], data)]
-        # The first configuration's loop on each task trained every logreg fit
-        # announced there; the others are held with their announced uses.
-        held = {name: [key for key in fit_entries(td) if key[0] == "fit"]
-                for name, td in data.items()}
-        assert {name: len(keys) for name, keys in held.items()} == {"ta": 4, "tb": 5}
-        results += [run_config(c, data) for c in configs[1:]]
-        assert results == alone
-        # The search, one loop per task, and the MLP, which no loop could take.
-        assert [len(loop.members) for loop in loops] == [16, 5, 6, 1]
-        assert [loop.sources for loop in loops] == [4, 2, 2, 1]
-        assert all(fit_entries(td) == [] for td in data.values())
+        consumers, failed = experiment._batch_consumers(
+            configs, data, experiment._batch_winners(configs, data)
+        )
+        assert failed == {}
+        plan = experiment._schedule(consumers, data)
+        # The first configuration's loop on each task takes every logreg fit
+        # read there; the MLP, which no loop could take, trains alone.
+        assert [len(loop) for loop in plan] == [5, 6, 1]
+        assert [len({(fit.task, fit.spec) for fit in loop}) for loop in plan] == [2, 2, 1]
+        loops = record_loops(monkeypatch)  # the searches ran above, and their winners are kept
+        assert experiment._run_batch(configs, data) == alone
+        assert [[(m.spec, m.hyper) for m in loop.members] for loop in loops] == [
+            [(fit.spec, fit.hyper) for fit in loop] for loop in plan
+        ]
+        assert [loop.sources for loop in loops] == [2, 2, 1]
+        assert all(kept(td) <= KEPT for td in data.values())
+
+    def test_a_failed_configuration_leaves_its_fits_untrained(self, tasks, monkeypatch):
+        # `bad` diverges on ta, so its tb fits, planned into good's loop,
+        # do not train there.
+        diverging = member(bagged=True, spec=self.SMALL,
+                           hyper=Hyperparams(learning_rate=1e6, l2=1e3))
+        configs = [
+            EnsembleConfig("bad", "homo", (diverging,) * 2, ("ta", "tb"), base_seed=3),
+            EnsembleConfig("good", "homo", (member(bagged=True, hyper=Hyperparams()),) * 2,
+                           ("tb",), base_seed=3),
+        ]
+        data = {name: fresh(task) for name, task in tasks.items()}
+        consumers, _ = experiment._batch_consumers(configs, data, {})
+        assert [len(loop) for loop in experiment._schedule(consumers, data)] == [2, 4]
+        with pytest.raises(TrainingDiverged) as alone:
+            run_config(configs[0], {name: fresh(task) for name, task in tasks.items()})
+        expected = run_config(configs[1], {name: fresh(task) for name, task in tasks.items()})
+        loops = record_loops(monkeypatch)
+        failure, result = experiment._run_batch(configs, data)
+        assert str(failure).startswith("config 'bad', task 'ta', member 0: non-finite loss")
+        assert str(failure) == str(alone.value) and result == expected
+        assert [len(loop.members) for loop in loops] == [2, 2]
+        assert all(kept(td) <= KEPT for td in data.values())
 
     def test_a_size_group_over_the_padding_budget_gets_its_own_loop(self):
         key, other = (0, 30, 60, 2), (0, 30, 61, 2)
         wide, narrow = 4098, 1026  # logreg-2048 and logreg-512 members, 2 classes
         fit = experiment._MAX_PADDING // (wide - narrow)  # narrow members that may join
-        assert experiment._loops([(key, wide)] + [(key, narrow)] * fit) == [list(range(fit + 1))]
-        assert experiment._loops([(key, wide)] + [(key, narrow)] * (fit + 1)) == [
-            [0], list(range(1, fit + 2))
-        ]
-        assert experiment._loops([(key, wide), (other, narrow)]) == [[0], [1]]
 
-    def test_extras_fill_loops_but_start_none(self):
-        key, other = (0, 30, 60, 2), (4, 30, 60, 2)
-        extras = [(key, 4098), (other, 1026), (key, 2**16), (key, 1026)]
-        # The wider extra pads the loop's member by 3072 and joins; the other
-        # key's does not, nor the one that would pad by more than the budget.
-        assert experiment._loops([(key, 1026)], extras) == [[0, 1, 4]]
-        assert experiment._loops([], extras) == []
-        big = experiment._MAX_GROUP_PARAMS + 1  # trains alone, and takes no extras
-        assert experiment._loops([(key, big)], [(key, big), (key, 1026)]) == [[0]]
+        def loops(shapes):
+            return [members for _, _, members in experiment._loops(shapes)]
+
+        assert loops([(key, wide)] + [(key, narrow)] * fit) == [list(range(fit + 1))]
+        assert loops([(key, wide)] + [(key, narrow)] * (fit + 1)) == [[0], list(range(1, fit + 2))]
+        assert loops([(key, wide), (other, narrow)]) == [[0], [1]]
+
+    def test_extras_fill_loops_but_start_none(self, tasks):
+        data = {name: fresh(task) for name, task in tasks.items()}
+
+        def fit(dims, epochs=30, task="ta", seed=0):
+            hyper = Hyperparams(epochs=epochs, seed=seed)
+            return experiment._Fit(task, FeatureSpec(dims=dims), hyper)
+
+        first, wide, other_key, other_task = fit(512), fit(2048), fit(512, 5), fit(512, task="tb")
+        # One of the pair would join the first loop, both would pad it by
+        # more than the budget: neither joins.
+        pair = (fit(512, seed=1), fit(8192, seed=1))
+        last = fit(512, seed=2)
+        consumers = [
+            experiment._Consumer(k, task, fits)
+            for k, (task, fits) in enumerate([
+                ("ta", (first,)), ("ta", (wide, other_key)), ("tb", (other_task,)),
+                ("ta", pair), ("ta", (last, first)),
+            ])
+        ]
+        # Later fits fill the loops of the first consumer that has any to
+        # start, those of other keys and tasks start loops in their own turn.
+        assert experiment._schedule(consumers, data) == [
+            [first, wide, last], [other_key], [other_task], [pair[1], pair[0]]
+        ]
+        assert experiment._schedule(consumers[1:2], data) == [[wide], [other_key]]
+        big, small = fit(2**17, seed=3), fit(512, seed=3)  # 2**18 + 2 parameters: over the cap
+        alone = [experiment._Consumer(k, "ta", (f,)) for k, f in enumerate((big, small))]
+        assert experiment._schedule(alone, data) == [[big], [small]]
 
 
 class TestEquivalenceGroup:

@@ -162,7 +162,7 @@ class TestFit:
             perm = rng.permutation(len(td.train))
             for start in range(0, len(td.train), 32):
                 batch = perm[start : start + 32]
-                _, grads = _loss_and_grads(params, x[batch], y[batch], 2, hidden, hyper.l2)
+                _, grads = _loss_and_grads(params, x.gather(batch), y[batch], 2, hidden, hyper.l2)
                 for name, grad in grads.items():
                     params[name] = params[name] - hyper.learning_rate * grad
         model = fit(td.train, spec, hyper)
@@ -201,7 +201,7 @@ def reference_fit(x, y, spec, hyper, rows):
         for start in range(0, len(rows), 32):
             batch = order[start : start + 32]
             _, grads = _loss_and_grads(
-                params, x[batch], y[batch], 2, hyper.hidden_size, hyper.l2
+                params, x.gather(batch), y[batch], 2, hyper.hidden_size, hyper.l2
             )
             for name, grad in grads.items():
                 params[name] = params[name] - hyper.learning_rate * grad
@@ -246,7 +246,7 @@ class TestLockstep:
         outcomes = lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
             try:
-                alone = _fit_rows(x[rows], y[rows], 2, self.SPEC, hyper)
+                alone = _fit_rows(x.gather(rows), y[rows], 2, self.SPEC, hyper)
             except TrainingDiverged as exc:
                 assert isinstance(outcome, TrainingDiverged)
                 assert str(outcome) == str(exc)
@@ -404,7 +404,7 @@ class TestDesignMatrix:
         rng = np.random.default_rng(4)
         w = rng.normal(size=(self.SPEC.dims, 2))
         d = rng.normal(size=(len(pick), 2))
-        batch = _design_matrix(exs, self.SPEC)[pick]
+        batch = _design_matrix(exs, self.SPEC).gather(pick)
         assert batch.shape == (len(pick), self.SPEC.dims)
         assert np.array_equal(batch @ w, _storage_order_products(rows, w))
         assert np.array_equal(batch.T @ d, _storage_order_transposed(rows, d, self.SPEC.dims))
@@ -417,7 +417,7 @@ class TestDesignMatrix:
         rng = np.random.default_rng(k)
         w = rng.normal(size=(self.SPEC.dims, k))
         x = _design_matrix(exs, self.SPEC)
-        for matrix, picked in ((x, rows), (x[pick], [rows[i] for i in pick])):
+        for matrix, picked in ((x, rows), (x.gather(pick), [rows[i] for i in pick])):
             d = rng.normal(size=(len(picked), k))
             assert np.array_equal(matrix @ w, _storage_order_products(picked, w))
             assert np.array_equal(
@@ -451,7 +451,7 @@ class TestDesignMatrix:
         x = _design_matrix(self.examples(), self.SPEC)
         assert np.array_equal(x.indptr, x.row.searchsorted(np.arange(x.shape[0] + 1)))
         with pytest.raises(ValueError, match="row pointers"):
-            x.T[np.array([0, 1])]
+            x.T.gather(np.array([0, 1]))
 
 
 # The per-example featurization that `_design_matrix` replaced, kept unchanged
@@ -657,7 +657,7 @@ class TestGradientBuffers:
         l2 = np.array([1e-4, 1e-2])
         cases = (
             (stacked, x.gather(batch, 2, 2, _Workspace()), y[batch], l2),
-            ({n: a[0] for n, a in stacked.items()}, x[batch], y[batch], 1e-3),
+            ({n: a[0] for n, a in stacked.items()}, x.gather(batch), y[batch], 1e-3),
         )
         for params, rows, labels, reg in cases:
             loss, grads = _loss_and_grads(params, rows, labels, 2, hidden, reg)
@@ -847,7 +847,7 @@ class TestMixedLoops:
         monkeypatch.undo()
         for outcome, m in zip(outcomes, members):
             try:
-                alone = _fit_rows(m.x[m.rows], m.y[m.rows], num_classes, m.spec, m.hyper)
+                alone = _fit_rows(m.x.gather(m.rows), m.y[m.rows], num_classes, m.spec, m.hyper)
             except TrainingDiverged as exc:
                 assert str(outcome) == str(exc)
                 assert "epoch 1, batch offset 32" in str(exc)
