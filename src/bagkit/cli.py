@@ -72,16 +72,12 @@ def cmd_run(args) -> int:
         except (DataError, ConfigError) as exc:
             task_errors[task] = str(exc)
 
-    # One schedule trains the batch (`_run_batch`). Threads do not pay here:
-    # the work is many small numpy calls that contend for the GIL.
-    outcomes = iter(_run_batch([c for c in configs if not set(c.tasks) & set(task_errors)], data))
+    # One schedule trains the batch (`_run_batch`), and a configuration with
+    # a task that failed to load fails there. Threads do not pay here: the
+    # work is many small numpy calls that contend for the GIL.
     results = []
     failures = []
-    for config in configs:
-        bad = [t for t in config.tasks if t in task_errors]
-        outcome = next(outcomes) if not bad else ConfigError(
-            f"config {config.config_id!r}: unavailable tasks {bad}"
-        )
+    for config, outcome in zip(configs, _run_batch(configs, data)):
         if isinstance(outcome, BagkitError):
             failures.append((config.config_id, str(outcome)))
         else:

@@ -2,8 +2,11 @@
 
 The winning class is the argmax of the summed member probabilities; the
 combined vector is reported as the mean (same argmax, and it stays a valid
-probability vector). Member vectors are put into a canonical order before a
-single numpy reduction, so the vote is bitwise permutation-invariant.
+probability vector). Every vote goes through one vectorized path (`_vote`)
+over a (members, rows, classes) stack: each row's member vectors are put
+into one canonical order before a single numpy reduction, so the vote is
+bitwise permutation-invariant, and a vote of one member is that member's
+argmax.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset, Example
 from .errors import BagkitError
-from .predictor import Model, _design_matrix, _forward_proba, predict_proba_dataset
+from .predictor import Model, _design_matrix, _forward_proba
 
 __all__ = ["Ensemble", "soft_vote", "predict", "predict_dataset"]
 
@@ -51,40 +54,38 @@ def soft_vote(member_probs) -> tuple[int, np.ndarray]:
         raise BagkitError(f"member probability vectors differ in length: {exc}") from exc
     if stacked.ndim != 2 or stacked.shape[0] < 1 or stacked.shape[1] < 1:
         raise BagkitError("soft_vote needs one or more probability vectors of equal length")
-    canonical = stacked[np.lexsort(stacked.T[::-1])]
-    combined = canonical.sum(axis=0) / canonical.shape[0]
-    winner = int(np.argmax(combined))
-    return winner, combined
+    winners, combined = _vote(stacked[:, None, :])
+    return int(winners[0]), combined[0]
 
 
 def predict(ensemble: Ensemble, example: Example) -> tuple[int, np.ndarray]:
-    """Soft vote over the members' predicted probabilities for one example.
-
-    The example's one-row design matrix is built once per feature space
-    that members use, and each member reads it as `predict_proba` would.
-    """
-    rows: dict = {}
-    probs = []
-    for member in ensemble.members:
-        if member.spec not in rows:
-            rows[member.spec] = _design_matrix((example,), member.spec)
-        probs.append(_forward_proba(member, rows[member.spec])[0])
-    return soft_vote(probs)
+    """Soft vote over the members' predicted probabilities for one example."""
+    winners, combined = predict_dataset(ensemble, (example,))
+    return int(winners[0]), combined[0]
 
 
 def predict_dataset(ensemble: Ensemble, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized vote over a dataset: (winners, combined probability matrix)."""
-    return _vote_rows(
-        ensemble, [predict_proba_dataset(member, dataset) for member in ensemble.members]
-    )
+    """Vectorized vote over a dataset: (winners, combined probability matrix).
+
+    The design matrix is built once per feature space that members use, and
+    each member reads it as `predict_proba_dataset` would.
+    """
+    rows: dict = {}
+    for member in ensemble.members:
+        if member.spec not in rows:
+            rows[member.spec] = _design_matrix(dataset, member.spec)
+    return _vote(np.stack([_forward_proba(m, rows[m.spec]) for m in ensemble.members]))
 
 
-def _vote_rows(ensemble: Ensemble, member_probs) -> tuple[np.ndarray, np.ndarray]:
-    """Soft vote per row over each member's (rows x classes) probability matrix."""
-    stacked = np.stack(member_probs)
-    rows = stacked.shape[1]
-    winners = np.empty(rows, dtype=np.int64)
-    combined = np.empty((rows, ensemble.num_classes))
-    for row in range(rows):
-        winners[row], combined[row] = soft_vote(stacked[:, row, :])
-    return winners, combined
+def _vote(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Soft vote per row of a (members, rows, classes) stack: (winners, mean probabilities).
+
+    Each row's member vectors are sorted lexicographically, first class
+    first, and summed in that order. The sum runs over each row's contiguous
+    (members, classes) block, the layout a one-row vote has, so a row's bits
+    do not depend on how many rows are voted with it.
+    """
+    order = np.lexsort(stacked.transpose(2, 1, 0)[::-1], axis=-1)  # (rows, members)
+    canonical = np.take_along_axis(stacked.transpose(1, 0, 2), order[:, :, None], axis=1)
+    combined = canonical.sum(axis=1) / canonical.shape[1]
+    return np.argmax(combined, axis=1), combined

@@ -28,6 +28,11 @@ once its fits are held, and drops each fit at its last use. A batch runs
 its grid searches first, in one `_search`, since members take their
 hyperparameters from the winners; `run_config` is a batch of one.
 
+Every score is one soft vote (`_evaluate`) on a split's cached design
+matrices: a search candidate votes alone on the validation split, and a
+configuration's members, a variance sample's single model and its ensemble
+each vote on the test split. A vote of one model is its argmax.
+
 Members that share hidden size, epochs, row count and class count may share
 a loop (`predictor._fit_many`), whatever their feature spaces or tasks: a
 smaller member is padded with zeros to the loop's widest. A loop stacks at
@@ -53,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .ensemble import Ensemble, _vote_rows
+from .ensemble import Ensemble, _vote
 from .errors import BagkitError, ConfigError, TrainingDiverged
 from .ioutil import atomic_write_text
 from .metrics import METRIC_NAMES, EvalResult, evaluate, mean_std
@@ -365,10 +370,6 @@ class VarianceReport:
     ensemble_std: float
 
 
-def _argmax_predictions(model: Model, x: _Rows) -> np.ndarray:
-    return np.argmax(_forward_proba(model, x), axis=1)
-
-
 def grid_search(
     space,
     train: Dataset,
@@ -385,34 +386,33 @@ def grid_search(
         raise ConfigError(f"unknown metric {metric!r}")
     task = TaskData(train=train, val=val, test=val, metric=metric)  # the test split is not read
     (winner,) = _search([("task", tuple(space), feature_spec)], {"task": task})
-    if isinstance(winner, TrainingDiverged):
+    if isinstance(winner, BagkitError):
         raise winner
     return winner
 
 
-def _search(requests, data: dict[str, TaskData]) -> list[Hyperparams | TrainingDiverged]:
-    """The grid-search phase: per request its winner, or the error if every candidate diverged.
+def _search(requests, data: dict[str, TaskData]) -> list[Hyperparams | BagkitError]:
+    """The grid-search phase: per request, in order, its winner or the error it failed with.
 
     A request is ``(task, space, spec)``. Every candidate trains in one
-    schedule and is scored on its task's validation matrix. The winner has
-    the best score; exact ties go to the earlier candidate, and a candidate
-    whose training diverges is skipped.
+    schedule and is scored on its task's validation split (`_evaluate`). The
+    winner has the best score; exact ties go to the earlier candidate, and a
+    candidate whose training diverges is skipped. A request fails if every
+    candidate diverged or its scoring raised.
     """
     if not all(space for _, space, _ in requests):
         raise ConfigError("grid_search requires a non-empty hyperparameter space")
-    winners = []
+    winners: dict[int, Hyperparams | BagkitError] = {}
 
     def score(consumer: _Consumer, models) -> None:
-        task, space, spec = requests[consumer.owner]
+        task, space, _ = requests[consumer.owner]
         task_data, best = data[task], None
-        x_val, y_val = task_data._matrix("val", spec), task_data._labels("val")
         for hyper, model in zip(space, models):
             if not isinstance(model, TrainingDiverged):
-                preds = _argmax_predictions(model, x_val)
-                value = evaluate(preds, y_val, task_data.val.num_classes).metric(task_data.metric)
+                value = _evaluate([model], task_data, "val").metric(task_data.metric)
                 if best is None or value > best[0]:
                     best = value, hyper
-        winners.append(
+        winners[consumer.owner] = (
             TrainingDiverged("every candidate in the hyperparameter space diverged")
             if best is None else best[1]
         )
@@ -421,16 +421,16 @@ def _search(requests, data: dict[str, TaskData]) -> list[Hyperparams | TrainingD
         _Consumer(r, None, tuple(_Fit(task, spec, hyper) for hyper in space))
         for r, (task, space, spec) in enumerate(requests)
     ]
-    _run_schedule(consumers, data, score)
-    return winners
+    winners.update(_run_schedule(consumers, data, score))
+    return [winners[r] for r in range(len(requests))]
 
 
 def _batch_winners(configs, data: dict[str, TaskData]) -> dict:
-    """The grid-search winners, or divergences, per (task, model kind, feature space).
+    """The grid-search winners, or errors, per (task, model kind, feature space).
 
-    These are what configurations with only known tasks need. A winner a
-    TaskData holds is reused; the others are searched in one `_search` and
-    kept, unless they diverged.
+    These are what configurations with only available tasks need. A winner
+    a TaskData holds is reused; the others are searched in one `_search`,
+    and the winners among them are kept.
     """
     wanted = dict.fromkeys(
         (task, m.model_kind, m.feature_spec)
@@ -444,7 +444,7 @@ def _batch_winners(configs, data: dict[str, TaskData]) -> dict:
     requests = [(task, DEFAULT_SEARCH_SPACE[kind], spec) for task, kind, spec in todo]
     for (task, kind, spec), winner in zip(todo, _search(requests, data)):
         winners[(task, kind, spec)] = winner
-        if not isinstance(winner, TrainingDiverged):
+        if isinstance(winner, Hyperparams):
             data[task]._cache[("search", kind, spec)] = winner
     return winners
 
@@ -587,12 +587,14 @@ def _pruned(model: Model, member: MemberSpec) -> Model:
     return model
 
 
-def _test_vote(models: list[Model], task_data: TaskData) -> EvalResult:
-    """The evaluation of the models' soft vote on the task's test split."""
-    voters = Ensemble(members=tuple(models), num_classes=task_data.test.num_classes)
-    member_probs = [_forward_proba(m, task_data._matrix("test", m.spec)) for m in voters.members]
-    winners, _ = _vote_rows(voters, member_probs)
-    return evaluate(winners, task_data._labels("test"), task_data.test.num_classes)
+def _evaluate(models, task_data: TaskData, split: str) -> EvalResult:
+    """The evaluation of the models' soft vote on one split ("val" or "test") of the task."""
+    num_classes = getattr(task_data, split).num_classes
+    voters = Ensemble(members=tuple(models), num_classes=num_classes)
+    winners, _ = _vote(np.stack(
+        [_forward_proba(m, task_data._matrix(split, m.spec)) for m in voters.members]
+    ))
+    return evaluate(winners, task_data._labels(split), num_classes)
 
 
 def _batch_consumers(
@@ -600,20 +602,21 @@ def _batch_consumers(
 ) -> tuple[list[_Consumer], dict[int, BagkitError]]:
     """A batch's consumers, one per (configuration, task) pair in order, and its early failures.
 
-    A configuration with an unknown task has no consumers. One whose grid
-    search diverged on a task has consumers for its earlier tasks only.
+    A configuration with a task missing from ``data`` has no consumers. One
+    whose grid search failed on a task has consumers for its earlier tasks
+    only.
     """
     consumers, failed = [], {}
     for i, config in enumerate(configs):
         missing = [t for t in config.tasks if t not in data]
         if missing:
-            failed[i] = ConfigError(f"config {config.config_id!r}: unknown tasks {missing}")
+            failed[i] = ConfigError(f"config {config.config_id!r}: unavailable tasks {missing}")
         for task in () if missing else config.tasks:
             hypers = [m.hyper_override or winners[(task, m.model_kind, m.feature_spec)]
                       for m in config.members]
-            diverged = [h for h in hypers if isinstance(h, TrainingDiverged)]
-            if diverged:
-                failed[i] = diverged[0]
+            errors = [h for h in hypers if isinstance(h, BagkitError)]
+            if errors:
+                failed[i] = errors[0]
                 break
             full_data_seed, sample_seeds = _member_seeds(config, task)
             consumers.append(_Consumer(i, task, tuple(
@@ -643,10 +646,10 @@ def _run_batch(configs, data: dict[str, TaskData]) -> list[ConfigResult | Bagkit
                 ) from model
             models.append(_pruned(model, member))
         scored.setdefault(consumer.owner, []).append(
-            (task, _test_vote(models, data[task]), sum(param_count(m) for m in models))
+            (task, _evaluate(models, data[task], "test"), sum(param_count(m) for m in models))
         )
 
-    # A scoring error comes from a task before any search that diverged.
+    # A scoring error comes from a task before any search that failed.
     failed.update(_run_schedule(consumers, data, score))
     return [
         failed[i] if i in failed else _config_result(config, data, scored[i])
@@ -699,9 +702,6 @@ def variance_analysis(
         raise ConfigError(f"variance analysis requires n >= 2, got {n}")
     plan = task_data._plan(n, m, base_seed)
     hyper = member.hyper_override or DEFAULT_HYPER[member.model_kind]
-    test_labels = task_data._labels("test")
-    num_classes = task_data.test.num_classes
-    x_test = task_data._matrix("test", member.feature_spec)
     # One consumer per first-level sample: its single model, then its
     # ensemble's members, each seeded by the last sample of its chain.
     consumers = [
@@ -719,9 +719,8 @@ def variance_analysis(
             if isinstance(model, TrainingDiverged):
                 raise model
         single, *ensemble = (_pruned(model, member) for model in outcomes)
-        preds = _argmax_predictions(single, x_test)
-        singles.append(evaluate(preds, test_labels, num_classes).metric(task_data.metric))
-        ensembles.append(_test_vote(ensemble, task_data).metric(task_data.metric))
+        singles.append(_evaluate([single], task_data, "test").metric(task_data.metric))
+        ensembles.append(_evaluate(ensemble, task_data, "test").metric(task_data.metric))
 
     for error in _run_schedule(consumers, {task_name: task_data}, score).values():
         raise error

@@ -3,11 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bagkit.dataset import Example
-from bagkit.ensemble import Ensemble, predict, predict_dataset, soft_vote
+from bagkit import ensemble
+from bagkit.dataset import Dataset, Example
+from bagkit.ensemble import Ensemble, _vote, predict, predict_dataset, soft_vote
 from bagkit.errors import BagkitError
-from bagkit.predictor import FeatureSpec, Hyperparams, initialize, predict_proba
+from bagkit.predictor import (
+    FeatureSpec,
+    Hyperparams,
+    initialize,
+    predict_proba,
+    predict_proba_dataset,
+)
 from bagkit.toy import synthetic_task
+
+FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
 
 def brute_force_vote(member_probs):
@@ -118,8 +127,6 @@ class TestEnsemblePredict:
             assert winner == single
 
     def test_mixed_feature_spaces_match_predict_proba(self, example, monkeypatch):
-        from bagkit import ensemble
-
         specs = (FeatureSpec(dims=256), FeatureSpec(dims=64, ngram_max=2), FeatureSpec(dims=256))
         models = tuple(
             initialize(spec, Hyperparams(hidden_size=hidden, seed=seed), 3)
@@ -157,3 +164,100 @@ class TestEnsemblePredict:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(BagkitError):
             Ensemble(members=(), num_classes=2)
+
+
+def reference_vote(member_probs):
+    """One row's soft vote as `soft_vote` computed it before the vectorized `_vote`."""
+    stacked = np.asarray(member_probs, dtype=np.float64)
+    canonical = stacked[np.lexsort(stacked.T[::-1])]
+    combined = canonical.sum(axis=0) / canonical.shape[0]
+    winner = int(np.argmax(combined))
+    return winner, combined
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+def assert_reference_votes(winners, combined, stacked):
+    """winners and combined are, row by row and bit for bit, the reference vote of stacked."""
+    _, rows, classes = stacked.shape
+    assert winners.shape == (rows,) and combined.shape == (rows, classes)
+    for row in range(rows):
+        winner, expected = reference_vote(stacked[:, row, :])
+        assert winners[row] == winner
+        assert np.array_equal(bits(combined[row]), bits(expected))
+
+
+@st.composite
+def stacks(draw):
+    """A (members, rows, classes) stack with duplicate members and, on a grid, exact ties."""
+    members = draw(st.integers(1, 64))
+    rows, classes = draw(st.integers(0, 40)), draw(st.integers(1, 5))
+    distinct = draw(st.integers(1, members))
+    levels = draw(st.integers(0, 4))  # 0: continuous values, else multiples of 1 / levels
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (distinct, rows, classes)
+    pool = rng.random(shape) if not levels else rng.integers(0, levels + 1, shape) / levels
+    return pool[rng.integers(0, distinct, members)]
+
+
+# Members of three feature spaces, logistic regression and MLP, over one task's examples.
+POOL = tuple(
+    initialize(spec, Hyperparams(hidden_size=hidden, seed=seed), 3)
+    for seed, (spec, hidden) in enumerate([
+        (FeatureSpec(dims=64), 0), (FeatureSpec(dims=32, ngram_max=2), 0),
+        (FeatureSpec(dims=64), 4), (FeatureSpec(dims=128, lowercase=False), 2),
+        (FeatureSpec(dims=32, ngram_max=2), 3), (FeatureSpec(dims=64), 0),
+    ])
+)
+EXAMPLES = synthetic_task("vote", seed=5, num_classes=3, n_train=10, n_val=10, n_test=12,
+                          with_text_b=True).test.examples
+
+
+class TestVectorizedVote:
+    """`_vote` over a stack equals the per-row reference vote, and every predict path uses it."""
+
+    @FUZZ
+    @given(stacked=stacks(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_row_reference(self, stacked, seed):
+        winners, combined = _vote(stacked)
+        assert_reference_votes(winners, combined, stacked)
+        # Members permuted independently in each row vote the same, bit for bit.
+        members, rows, _ = stacked.shape
+        order = np.argsort(np.random.default_rng(seed).random((members, rows)), axis=0)
+        again, again_combined = _vote(np.take_along_axis(stacked, order[:, :, None], axis=0))
+        assert np.array_equal(again, winners)
+        assert np.array_equal(bits(again_combined), bits(combined))
+
+    def test_predict_paths_vote_their_members_probabilities(self, monkeypatch):
+        builds = []
+        real_build = ensemble._design_matrix
+
+        def build(examples, spec):
+            builds.append(spec)
+            return real_build(examples, spec)
+
+        monkeypatch.setattr(ensemble, "_design_matrix", build)
+
+        @settings(FUZZ, max_examples=25)
+        @given(picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=12),
+               rows=st.integers(0, len(EXAMPLES)))
+        def check(picks, rows):
+            models = tuple(POOL[i] for i in picks)
+            voters = Ensemble(members=models, num_classes=3)
+            spaces = list(dict.fromkeys(m.spec for m in models))
+            dataset = Dataset(name="vote", examples=EXAMPLES[:rows], num_classes=3)
+            builds.clear()
+            winners, combined = predict_dataset(voters, dataset)
+            assert builds == spaces  # one design matrix per feature space
+            stacked = np.stack([predict_proba_dataset(m, dataset) for m in models])
+            assert_reference_votes(winners, combined, stacked)
+            for example in dataset.examples:
+                builds.clear()
+                winner, probs = predict(voters, example)
+                assert builds == spaces
+                oracle, expected = reference_vote([predict_proba(m, example) for m in models])
+                assert winner == oracle and np.array_equal(bits(probs), bits(expected))
+
+        check()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bagkit import experiment
+from bagkit.dataset import Dataset
 from bagkit.ensemble import Ensemble, predict_dataset
 from bagkit.errors import BagkitError, ConfigError, TrainingDiverged
 from bagkit.experiment import (
@@ -48,6 +49,13 @@ def task_acc():
 def fresh(task):
     """The same task in a new TaskData, with nothing cached yet."""
     return TaskData(train=task.train, val=task.val, test=task.test, metric=task.metric)
+
+
+def two_class_val():
+    """A 3-class task whose validation split keeps only its label-0 and label-1 rows."""
+    task = synthetic_task("t", seed=1, num_classes=3, n_train=60, n_val=30, n_test=30)
+    val = Dataset("t-val", [ex for ex in task.val.examples if ex.label < 2], 2)
+    return TaskData(train=task.train, val=val, test=task.test, metric=task.metric)
 
 
 KEPT = {"rows", "labels", "search", "plan"}  # what a TaskData may keep: never a model
@@ -95,6 +103,13 @@ class TestGridSearch:
                 "accuracy",
                 SPEC,
             )
+
+    def test_scoring_error_is_raised(self):
+        # Each candidate has 3 classes and the validation split 2, so the vote fails.
+        task = two_class_val()
+        with pytest.raises(BagkitError, match="^member has 3 classes, ensemble expects 2$"):
+            grid_search(DEFAULT_SEARCH_SPACE["logreg"], task.train, task.val, "macro_f1",
+                        FeatureSpec(dims=64))
 
     def test_picks_validation_winner(self, task_acc):
         # One epoch at a tiny rate barely learns; the tuned setting must win.
@@ -225,9 +240,10 @@ class TestRunConfig:
         assert r1 == r2
 
     def test_unknown_task_rejected(self, task_acc):
-        config = EnsembleConfig("c", "single", (member(),), ("ghost",), 0)
-        with pytest.raises(ConfigError, match="ghost"):
-            run_config(config, {"acc2": task_acc})
+        config = EnsembleConfig("c", "single", (member(),), ("acc2", "ghost", "gone"), 0)
+        with pytest.raises(ConfigError) as failure:
+            run_config(config, {"acc2": fresh(task_acc)})
+        assert str(failure.value) == "config 'c': unavailable tasks ['ghost', 'gone']"
 
     def test_full_data_members_share_one_model(self, task_acc):
         # Identical non-bagged members collapse to the same trained model, so
@@ -615,6 +631,26 @@ class TestBatchLoops:
         assert str(failure) == str(alone.value) and result == expected
         assert [len(loop.members) for loop in loops] == [2, 2]
         assert all(kept(td) <= KEPT for td in data.values())
+
+    def test_a_failed_search_fails_only_its_configurations(self, tasks):
+        # The failed request comes first, so each later winner must still go
+        # to its own (task, kind, feature space).
+        configs = [
+            EnsembleConfig("bad", "single", (member(spec=self.SMALL),), ("bad",), base_seed=3),
+            EnsembleConfig("mixed", "hetero_same_family",
+                           (member(spec=self.SMALL), member(spec=self.WIDE)), ("ta", "tb"),
+                           base_seed=4),
+        ]
+        expected = run_config(configs[1], {name: fresh(task) for name, task in tasks.items()})
+        data = {"bad": two_class_val(), **{name: fresh(task) for name, task in tasks.items()}}
+        winners = experiment._batch_winners(configs, data)
+        assert isinstance(winners["bad", "logreg", self.SMALL], BagkitError)
+        assert ("search", "logreg", self.SMALL) not in data["bad"]._cache
+        for name, spec in [(name, spec) for name in tasks for spec in (self.SMALL, self.WIDE)]:
+            assert data[name]._cache[("search", "logreg", spec)] == winners[name, "logreg", spec]
+        failure, result = experiment._run_batch(configs, data)
+        assert str(failure) == "member has 3 classes, ensemble expects 2"
+        assert result == expected
 
     def test_a_size_group_over_the_padding_budget_gets_its_own_loop(self):
         key, other = (0, 30, 60, 2), (0, 30, 61, 2)
