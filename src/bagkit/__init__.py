@@ -50,4 +50,59 @@ from .resample import (
     plan_to_manifest,
 )
 
+__all__ = [
+    "BagkitError",
+    "BootstrapPlan",
+    "BootstrapSample",
+    "ConfigError",
+    "ConfigResult",
+    "DataError",
+    "Dataset",
+    "Ensemble",
+    "EnsembleConfig",
+    "EvalResult",
+    "Example",
+    "FeatureSpec",
+    "Hyperparams",
+    "MemberSpec",
+    "Model",
+    "PruneSpec",
+    "SplitSpec",
+    "TaskData",
+    "TrainingDiverged",
+    "VarianceReport",
+    "accuracy",
+    "bootstrap",
+    "derive_seed",
+    "equivalence_group",
+    "evaluate",
+    "featurize",
+    "fit",
+    "grid_search",
+    "initialize",
+    "load_jsonl",
+    "load_model",
+    "macro_f1",
+    "make_plan",
+    "materialize",
+    "mean_std",
+    "param_count",
+    "plan_from_manifest",
+    "plan_to_manifest",
+    "predict",
+    "predict_dataset",
+    "predict_proba",
+    "predict_proba_dataset",
+    "prune_magnitude",
+    "run_config",
+    "save_model",
+    "soft_vote",
+    "sparsity",
+    "split",
+    "training_loss",
+    "variance_analysis",
+    "write_report",
+    "write_variance_report",
+]
+
 __version__ = "0.1.0"

@@ -34,12 +34,11 @@ configuration's members, a variance sample's single model and its ensemble
 each vote on the test split. A vote of one model is its argmax.
 
 Members that share hidden size, epochs, row count and class count may share
-a loop (`predictor._fit_many`), whatever their feature spaces or tasks: a
-smaller member is padded with zeros to the loop's widest. A loop stacks at
-most `_MAX_GROUP_PARAMS` parameters, so a larger group is split and a member
-larger than the cap trains alone, and a join may add at most `_MAX_PADDING`
-padded parameters. A member trained in a loop is bit-identical to the same
-member trained alone.
+a loop (`predictor._fit_many`), whatever their feature spaces or tasks; the
+loop stacks each member at its own size. A loop stacks at most
+`_MAX_GROUP_PARAMS` parameters, so a larger group is split and a member
+larger than the cap trains alone. A member trained in a loop is
+bit-identical to the same member trained alone.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
@@ -125,24 +124,14 @@ DEFAULT_SEARCH_SPACE = {
     for kind in MODEL_KINDS
 }
 
-# The most parameters a lockstep group stacks (per-member parameters times
-# members) before it is split; a member larger than this trains alone. At
-# 2^18 the 60 logreg-256 fits of a variance run are one group, an MLP
-# 1024x16 variance run with m = 10 keeps its groups of 11, and an 8192x32 MLP
-# trains one member per group. Without a cap, that MLP run (n = 20) trains
-# its 220 members in one group: peak memory went from 46 to 162 MB, and the
+# The most parameters a lockstep loop stacks, counted member by member at
+# each one's real size, before it is split; a member larger than this trains
+# alone. At 2^18 the 60 logreg-256 fits of a variance run are one loop, an
+# MLP 1024x16 variance run with m = 10 keeps its loops of 11, and an 8192x32
+# MLP trains one member per loop. Without a cap, that MLP run (n = 20) trains
+# its 220 members in one loop: peak memory went from 46 to 162 MB, and the
 # run took 1.4 times as long.
 _MAX_GROUP_PARAMS = 2**18
-
-# The most padded parameters one join may add to a lockstep loop (`_joins`):
-# about what one loop's fixed cost per step buys, since each step also passes
-# over every padded parameter. Measured on single_large's task (24,000 rows,
-# bigrams, one epoch; process time, median of 5, 2 cores, one BLAS thread), a
-# logreg-512 member joined to a wider logreg loop, against two loops: 0.177
-# against 0.239 s with logreg-2048 (3k padded), 0.203 against 0.242 s with
-# 8192 (15k), 0.286 against 0.267 s with 16384 (32k) and 0.450 against
-# 0.239 s with 32768 (65k).
-_MAX_PADDING = 2**15
 
 
 @dataclass(frozen=True)
@@ -456,42 +445,39 @@ def _shape(spec: FeatureSpec, hyper: Hyperparams, rows: int, num_classes: int) -
 
 
 def _loops(shapes) -> list[list]:
-    """The width rule: the lockstep loops of members, ``[key, width, indices into shapes]`` each.
+    """The width rule: the lockstep loops of members, ``[key, params, indices into shapes]`` each.
 
-    ``shapes`` holds each member's `_shape`. Members share a loop only under
+    ``shapes`` holds each member's `_shape`, and ``params`` is the sum of
+    the loop's members' parameter counts. Members share a loop only under
     one key. Within a key, the members of one size train together, in loops
     of ``_MAX_GROUP_PARAMS // size`` members (at least one). Sizes go
-    largest first, and the members of a size join the loop before them,
-    padded to its width, if `_joins` allows.
+    largest first, and the members of a size join the loop before them if
+    `_joins` allows.
     """
     by_key: dict = {}
     for i, (key, size) in enumerate(shapes):
         by_key.setdefault(key, {}).setdefault(size, []).append(i)
-    loops: list[list] = []  # [key, width, member indices]
+    loops: list[list] = []  # [key, params, member indices]
     for key, sizes in by_key.items():
         for size in sorted(sizes, reverse=True):
             group = sizes[size]
             if loops and loops[-1][0] == key and _joins(loops[-1], [size] * len(group)):
+                loops[-1][1] += size * len(group)
                 loops[-1][2] += group
                 continue
             per = max(1, _MAX_GROUP_PARAMS // size)
-            loops += ([key, size, group[at : at + per]] for at in range(0, len(group), per))
+            for at in range(0, len(group), per):
+                chunk = group[at : at + per]
+                loops.append([key, size * len(chunk), chunk])
     return loops
 
 
 def _joins(loop: list, sizes: list[int]) -> bool:
-    """Whether members of ``sizes`` parameters may join a ``[key, width, members]`` loop together.
+    """Whether members of ``sizes`` parameters may join a ``[key, params, members]`` loop together.
 
-    The loop then stacks at most `_MAX_GROUP_PARAMS` parameters, and the
-    join adds at most `_MAX_PADDING` padded ones: the smaller members'
-    shortfall from the loop's widest, or the loop's members' from a wider
-    newcomer.
+    They may if the loop then stacks at most `_MAX_GROUP_PARAMS` parameters.
     """
-    _, width, members = loop
-    widest = max(width, *sizes)
-    padded = (len(members) + len(sizes)) * widest
-    added = padded - len(members) * width - sum(sizes)
-    return padded <= _MAX_GROUP_PARAMS and added <= _MAX_PADDING
+    return loop[1] + sum(sizes) <= _MAX_GROUP_PARAMS
 
 
 def _schedule(consumers, data: dict[str, TaskData]) -> list[list[_Fit]]:
@@ -509,15 +495,15 @@ def _schedule(consumers, data: dict[str, TaskData]) -> list[list[_Fit]]:
     for at, consumer in enumerate(consumers):
         new = [fit for fit in dict.fromkeys(consumer.fits) if fit not in placed]
         placed.update(new)
-        loops = [[key, width, [new[i] for i in members]]
-                 for key, width, members in _loops([shapes[fit] for fit in new])]
+        loops = [[key, params, [new[i] for i in members]]
+                 for key, params, members in _loops([shapes[fit] for fit in new])]
         for later in consumers[at + 1 :] if loops else ():
             for loop in loops if later.task == consumer.task else ():
                 join = [fit for fit in dict.fromkeys(later.fits)
                         if fit not in placed and shapes[fit][0] == loop[0]]
                 sizes = [shapes[fit][1] for fit in join]
                 if join and _joins(loop, sizes):
-                    loop[1] = max(loop[1], *sizes)
+                    loop[1] += sum(sizes)
                     loop[2] += join
                     placed.update(join)
         plan += [fits for _, _, fits in loops]

@@ -32,13 +32,27 @@ class EvalResult:
 
 
 def _as_index_arrays(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
-    preds = np.asarray(predictions, dtype=np.int64)
-    labs = np.asarray(labels, dtype=np.int64)
+    preds, labs = np.asarray(predictions), np.asarray(labels)
     if preds.size == 0 or labs.size == 0:
         raise BagkitError("metrics need at least one prediction/label pair")
     if preds.shape != labs.shape:
         raise BagkitError(f"length mismatch: {preds.shape[0]} predictions vs {labs.shape[0]} labels")
-    return preds, labs
+    return _class_indices(predictions, preds, "predictions"), _class_indices(labels, labs, "labels")
+
+
+def _class_indices(values, arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, the array of ``values``, as int64; a value that is not an integer raises.
+
+    Booleans are not integers here, and nothing is rounded or parsed.
+    """
+    if arr.dtype.kind in "iu" and (
+        np.can_cast(arr.dtype, np.int64) or arr.max() <= np.iinfo(np.int64).max
+    ):
+        return arr.astype(np.int64, copy=False)
+    for value in arr.tolist() if isinstance(values, np.ndarray) else values:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise BagkitError(f"{what} must be integer class indices, got {value!r}")
+    raise BagkitError(f"{what} must be class indices that fit in 64 signed bits")
 
 
 def accuracy(predictions, labels) -> float:

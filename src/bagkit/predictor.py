@@ -20,10 +20,11 @@ derived from the hyperparameter seed, so a fit is bit-reproducible.
 The training loop, `_fit_many`, trains a group of members that share hidden
 size, epochs, row count and class count in lockstep, whatever their feature
 spaces and design matrices. Their parameters are stacked on a leading member
-axis, padded with zeros to the widest feature space, each step gathers every
-member's batch at once (member m's columns offset by m * that width), and one
-call of `_loss_and_grads` steps them all, writing the gradients into buffers
-the loop keeps for the whole call.
+axis, the first-layer weights as dense blocks of one feature space each, laid
+end to end with no padding. Each step gathers every member's batch at once
+(member m's columns offset by its first column in that layout), and one call
+of `_loss_and_grads` steps them all, writing the gradients into buffers the
+loop keeps for the whole call.
 The gather writes the batch's entries and the class-major index arrays of
 its sparse products into a workspace the loop also keeps, grown only when a
 step needs more entries than any before it. Both products of a step, ``x @
@@ -279,18 +280,20 @@ class _Rows:
         return _Rows(self.data, self.row, self.shape[::-1], row=self.col, cells=cells)
 
     def gather(
-        self, rows: np.ndarray, members: int = 1, k: int | None = None,
+        self, rows: np.ndarray, columns: np.ndarray | None = None, k: int | None = None,
         work: _Workspace | None = None,
     ) -> _Rows:
         """The matrix's rows ``rows``, which hold an equal run of rows per member, in turn.
 
-        Member m's columns are offset by ``m * width``, so one product with the
-        members' weights stacked into ``(members * width, k)`` serves them all,
-        and each member's entries keep their storage order. With ``k`` the
-        result carries its k-wide cells and no row pointers, which no step
-        reads. Its data, columns and cells are views of ``work``'s arrays (a
-        fresh workspace's without it), valid until the next gather into the
-        same workspace.
+        ``columns`` are the members' column pointers: member m's columns of
+        the result are ``columns[m]:columns[m + 1]``, so its columns are
+        offset by ``columns[m]`` and one product with the members' weights
+        laid end to end, ``(columns[-1], k)``, serves them all. Without it
+        the rows are one member's, columns as they are. Each member's entries
+        keep their storage order. With ``k`` the result carries its k-wide
+        cells and no row pointers, which no step reads. Its data, columns and
+        cells are views of ``work``'s arrays (a fresh workspace's without
+        it), valid until the next gather into the same workspace.
         """
         if self.indptr is None:
             raise ValueError("rows can only be gathered from a matrix with row pointers")
@@ -314,10 +317,14 @@ class _Rows:
         take += arange[:nnz]
         data = self.data.take(take, out=work("data", (nnz,)), mode="wrap")
         col = self.col.take(take, out=work("col", (nnz,), np.int64), mode="wrap")
-        if members > 1:
-            member = np.floor_divide(row, len(rows) // members, out=take)
-            col += np.multiply(member, self.shape[1], out=member)
-        shape = (len(rows), members * self.shape[1])
+        width = self.shape[1]
+        if columns is not None:
+            width = int(columns[-1])
+            if len(columns) > 2:
+                # Each gathered row's offset, then each entry's, into the spent positions.
+                starts = columns[:-1].repeat(len(rows) // (len(columns) - 1))
+                col += starts.take(row, out=take, mode="wrap")
+        shape = (len(rows), width)
         if k is None:
             return _Rows(data, col, shape, np.concatenate(([0], ends)), row)
         return _Rows(data, col, shape, row=row, cells=_cells(row, col, k, work))
@@ -480,6 +487,35 @@ def _one(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: arr[None] for name, arr in params.items()}
 
 
+def _layout(dims: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[slice, int]]]:
+    """The column pointers and blocks of a first-layer stack of feature spaces ``dims``, sorted.
+
+    Member i's columns are ``columns[i]:columns[i + 1]``. A block is a run of
+    members of one feature space: their slice of the member axis and each
+    one's first-layer size, ``dims * k``.
+    """
+    columns = np.concatenate(([0], dims.cumsum()))
+    bounds = [0, *(np.flatnonzero(dims[1:] != dims[:-1]) + 1).tolist(), len(dims)]
+    return columns, [(slice(lo, hi), int(dims[lo]) * k) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _rows(stack: np.ndarray, blocks: list[tuple[slice, int]] | None) -> list[tuple]:
+    """Each block's member slice and rows, a ``(block members, size)`` view of ``stack``.
+
+    A 2-D stack, ``(members, size)``, has one size for every member and is
+    one block. A flat stack holds the ``blocks`` one after another, each
+    row by row.
+    """
+    if stack.ndim == 2:
+        return [(slice(None), stack)]
+    views, at = [], 0
+    for members, size in blocks:
+        end = at + (members.stop - members.start) * size
+        views.append((members, stack[at:end].reshape(-1, size)))
+        at = end
+    return views
+
+
 def _forward(
     params: dict[str, np.ndarray], x: _Rows, num_classes: int, hidden_size: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -502,6 +538,12 @@ def _forward(
     return hidden, logits + params["out_bias"][:, None]
 
 
+def _squared_norms(stack: np.ndarray, blocks: list[tuple[slice, int]] | None) -> np.ndarray:
+    """Each member's squared norm, a dot product of its own row as alone: one matmul per block."""
+    norms = [np.matmul(w[:, None], w[:, :, None])[:, 0, 0] for _, w in _rows(stack, blocks)]
+    return norms[0] if len(norms) == 1 else np.concatenate(norms)
+
+
 # Overflow is detected via the finite-loss check, not warnings.
 @np.errstate(all="ignore")
 def _loss_and_grads(
@@ -513,6 +555,7 @@ def _loss_and_grads(
     l2: float | np.ndarray,
     want_grads: bool = True,
     out: dict[str, np.ndarray] | None = None,
+    blocks: list[tuple[slice, int]] | None = None,
 ) -> tuple[float | np.ndarray, dict[str, np.ndarray] | None]:
     """Mean cross-entropy plus 0.5 * l2 * ||weights||^2, and its gradients, per member.
 
@@ -522,9 +565,12 @@ def _loss_and_grads(
     each params array holds M members' flat arrays as rows, ``x`` and
     ``labels`` hold an equal batch per member, one member after another, ``l2``
     has one value per member, and the loss and each gradient have one row per
-    member. One member's flat arrays with a number ``l2`` give a number loss
-    and flat gradients. The gradients are written into ``out`` (arrays shaped
-    like ``params``, returned) when given, and into new arrays otherwise.
+    member. A stack is ``(members, size)``, or, for the first-layer weights
+    of members of several feature spaces, flat: the `_rows` of ``blocks``
+    one after another. One member's flat arrays with a number ``l2`` give a
+    number loss and flat gradients. The gradients are written into ``out``
+    (arrays shaped like ``params``, returned) when given, and into new
+    arrays otherwise.
     """
     if params["out_bias"].ndim == 1:
         loss, grads = _loss_and_grads(
@@ -538,11 +584,8 @@ def _loss_and_grads(
     probs = _softmax(logits).reshape(-1, num_classes)
     picked = np.arange(members * batch), labels
     data_loss = -(np.log(probs[picked] + _TINY).reshape(members, batch).sum(axis=1) / batch)
-    # Each member's squared norm is a dot product of its own row, as alone.
     reg_loss = 0.5 * l2 * sum(
-        np.matmul(params[name][:, None], params[name][:, :, None])[:, 0, 0]
-        for name in params
-        if name.endswith("weight")
+        _squared_norms(params[name], blocks) for name in params if name.endswith("weight")
     )
     loss = data_loss + reg_loss
     if not want_grads:
@@ -554,12 +597,13 @@ def _loss_and_grads(
     d_member = d_logits.reshape(members, batch, num_classes)
 
     grads = {name: np.empty_like(arr) for name, arr in params.items()} if out is None else out
-    l2 = l2[:, None]
 
     def weight_grad(name: str, product: np.ndarray) -> None:
-        # l2 * w + product, elementwise the same floats as product + l2 * w.
-        np.multiply(l2, params[name], out=grads[name])
-        grads[name] += product.reshape(members, -1)
+        # l2 * w + product, elementwise the same floats as product + l2 * w,
+        # each block's l2 broadcast over its rows.
+        for (rows, w), (_, grad) in zip(_rows(params[name], blocks), _rows(grads[name], blocks)):
+            np.multiply(l2[rows, None], w, out=grad)
+        grads[name] += product.reshape(grads[name].shape)
 
     if hidden is None:
         weight_grad("out_weight", x.T @ d_logits)
@@ -652,13 +696,16 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
     and its permutation per epoch, so it sees exactly the batches it would
     see alone. The distinct design matrices are joined once (`_joined`).
 
-    Each parameter array is stacked ``(members, size)``, sized for the largest
-    member: a member of a smaller feature space has its first-layer weights
-    in the prefix of a zero row, so member m's column c is stacked row
-    ``m * width + c`` for every member, with ``width`` the widest feature
-    space. No column of the member reaches the zero tail, whose gradient is
-    therefore ``l2 * 0 + 0`` and which stays +0.0; it adds exact zeros to
-    the member's squared norm, which only the finite check reads.
+    The loop orders its members by feature space. Each parameter array that
+    has one size for every member (biases, and the MLP's hidden-to-output
+    weights) is stacked ``(members, size)``. The first-layer weights are one
+    flat array of blocks, one per feature space, each a dense ``(members of
+    that size, size)`` block (`_rows`), so the stack holds exactly the
+    members' parameters: member i's input column c is row ``columns[i] + c``
+    of the weights laid out ``(columns[-1], k)``, and the gather offsets its
+    columns by ``columns[i]``. The elementwise steps and the squared norms
+    run once per block, with each member's l2 and learning rate broadcast
+    over its rows.
 
     Each step gathers every member's batch rows in one gather and writes the
     gradients into buffers kept for the whole call. The gather writes into
@@ -683,18 +730,27 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
         )
     x, y, row_sets = _joined(members)
     hypers = [m.hyper for m in members]
-    rngs = np.array([np.random.default_rng(h.seed) for h in hypers], dtype=object)
-    sizes = [_expected_shapes(m.spec, hidden, num_classes) for m in members]
-    params = {name: np.zeros((len(members), max(s[name] for s in sizes))) for name in sizes[0]}
-    for m, (member, rng) in enumerate(zip(members, rngs)):
-        for name, arr in _init_params(member.spec, member.hyper, num_classes, rng).items():
-            params[name][m, : arr.size] = arr
-    grads = {name: np.empty_like(arr) for name, arr in params.items()}
+    # The members by feature space, so that each size is one block of the
+    # first-layer stack: member i of the loop is members[live[i]].
+    live = np.array(sorted(range(len(members)), key=lambda m: members[m].spec.dims))
+    rngs = np.array([np.random.default_rng(hypers[m].seed) for m in live], dtype=object)
+    dims = np.array([members[m].spec.dims for m in live])
     work, width = _Workspace(), hidden or num_classes
+    columns, blocks = _layout(dims, width)
+    first_layer = "hidden_weight" if hidden else "out_weight"
+    params = {
+        name: np.empty(columns[-1] * width if name == first_layer else (len(live), size))
+        for name, size in _expected_shapes(first.spec, hidden, num_classes).items()
+    }
+    for i, (member, rng) in enumerate(zip(live, rngs)):
+        for name, arr in _init_params(members[member].spec, hypers[member], num_classes,
+                                      rng).items():
+            _own(params[name], i, columns, width)[...] = arr
+    grads = {name: np.empty_like(arr) for name, arr in params.items()}
     order = np.empty((len(members), n), dtype=np.intp)  # each member's rows, this epoch
-    lr = np.array([[h.learning_rate] for h in hypers])
-    l2 = np.array([h.l2 for h in hypers])
-    live = np.arange(len(members))  # which member each stacked row is
+    lr = np.array([[hypers[m].learning_rate] for m in live])
+    rates = _rates(grads, blocks, lr)
+    l2 = np.array([hypers[m].l2 for m in live])
     outcomes: list[Model | TrainingDiverged | None] = [None] * len(members)
     # The step without its own errstate: _fit_many's holds for every step.
     step = getattr(_loss_and_grads, "__wrapped__", _loss_and_grads)
@@ -705,8 +761,8 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
         for start in range(0, n, _BATCH_SIZE):
             batch = order[:, start : start + _BATCH_SIZE].ravel()
             loss, _ = step(
-                params, x.gather(batch, len(live), width, work), y[batch], num_classes, hidden,
-                l2, out=grads,
+                params, x.gather(batch, columns, width, work), y[batch], num_classes, hidden,
+                l2, out=grads, blocks=blocks,
             )
             finite = np.isfinite(loss)
             if not finite.all():
@@ -715,18 +771,23 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
                         f"non-finite loss {loss[i]} at epoch {epoch}, batch offset {start} "
                         f"(learning_rate={hypers[live[i]].learning_rate})"
                     )
-                params = {name: arr[finite] for name, arr in params.items()}
-                grads = {name: arr[finite] for name, arr in grads.items()}
-                order, rngs, live, lr, l2 = (a[finite] for a in (order, rngs, live, lr, l2))
+                params = {name: _kept(arr, blocks, finite) for name, arr in params.items()}
+                grads = {name: _kept(arr, blocks, finite) for name, arr in grads.items()}
+                order, rngs, live, dims, lr, l2 = (
+                    a[finite] for a in (order, rngs, live, dims, lr, l2)
+                )
                 if not len(live):
                     return outcomes
+                columns, blocks = _layout(dims, width)
+                rates = _rates(grads, blocks, lr)
             # In place, so the update makes no parameter-sized temporaries.
+            for block, rate in rates:
+                block *= rate
             for name, grad in grads.items():
-                grad *= lr
                 params[name] -= grad
 
     for i, member in enumerate(live):
-        arrays = {name: arr[i, : sizes[member][name]] for name, arr in params.items()}
+        arrays = {name: _own(arr, i, columns, width) for name, arr in params.items()}
         bad = [name for name, arr in arrays.items() if not np.all(np.isfinite(arr))]
         outcomes[member] = (
             TrainingDiverged(f"non-finite parameters in {bad[0]!r} after training")
@@ -735,6 +796,24 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
                        params=arrays)
         )
     return outcomes
+
+
+def _rates(
+    grads: dict[str, np.ndarray], blocks: list[tuple[slice, int]], lr: np.ndarray
+) -> list[tuple]:
+    """Each gradient block and its members' learning rates, ``(block members, 1)``."""
+    return [(block, lr[rows]) for grad in grads.values() for rows, block in _rows(grad, blocks)]
+
+
+def _own(stack: np.ndarray, i: int, columns: np.ndarray, width: int) -> np.ndarray:
+    """Member i's flat array in ``stack``: its row, or its columns' rows of a flat first layer."""
+    return stack[columns[i] * width : columns[i + 1] * width] if stack.ndim == 1 else stack[i]
+
+
+def _kept(stack: np.ndarray, blocks: list[tuple[slice, int]], keep: np.ndarray) -> np.ndarray:
+    """``stack`` with only the members ``keep`` marks, in the same layout."""
+    rows = [block[keep[members]] for members, block in _rows(stack, blocks)]
+    return rows[0] if stack.ndim == 2 else np.concatenate([block.ravel() for block in rows])
 
 
 def predict_proba(model: Model, example: Example) -> np.ndarray:

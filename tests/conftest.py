@@ -38,7 +38,7 @@ class Loop(NamedTuple):
     members: tuple  # the predictor._Member tuples it trained
     specs: frozenset  # their feature spaces
     sources: int  # their distinct design matrices
-    params: int  # parameters stacked: members times the largest member's
+    params: int  # parameters stacked: the sum of the members' own counts
     search: bool  # whether a grid search ran it
 
 
@@ -50,14 +50,12 @@ def record_loops(monkeypatch):
     real_fit_many, real_search = experiment._fit_many, experiment._search
 
     def fit_many(members):
-        widest = max(
-            experiment._shape(m.spec, m.hyper, len(m.rows), m.num_classes)[1] for m in members
-        )
         loops.append(Loop(
             tuple(members),
             frozenset(m.spec for m in members),
             len({id(m.x) for m in members}),
-            len(members) * widest,
+            sum(experiment._shape(m.spec, m.hyper, len(m.rows), m.num_classes)[1]
+                for m in members),
             bool(searching),
         ))
         return real_fit_many(members)

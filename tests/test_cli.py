@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bagkit
-from bagkit import cli, experiment
+from bagkit import cli, experiment, predictor
 from bagkit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -232,6 +232,15 @@ class TestRun:
         # The run follows the plan, with one design matrix per (task, split, feature space).
         loops = record_loops(monkeypatch)
         calls = count_calls(monkeypatch, experiment, ("_search", "_design_matrix"))
+        stacks = []  # the shapes of the first step's stacked parameters
+        real_step = predictor._loss_and_grads
+
+        def step(params, *args, **kwargs):
+            if not stacks:
+                stacks.append({name: arr.shape for name, arr in params.items()})
+            return real_step(params, *args, **kwargs)
+
+        monkeypatch.setattr(predictor, "_loss_and_grads", step)
         code = run_cli(
             "run",
             "--config", toy_workspace / "configs.json",
@@ -246,6 +255,11 @@ class TestRun:
         ]
         assert [loop.search for loop in loops] == [True] * 2 + [False] * 6
         assert [loop.sources for loop in loops] == [6, 3, 3, 3, 3, 1, 1, 1]
+        # The first search loop stacks its 24 logreg members at their own
+        # sizes: 8 each of 512, 1024 and 2048 dims times 2 classes, 57,344
+        # first-layer weights (24 * 2048 * 2 = 98,304 padded to the widest).
+        assert stacks[0] == {"out_weight": (8 * (512 + 1024 + 2048) * 2,), "out_bias": (24, 2)}
+        assert loops[0].params == 57_344 + 24 * 2
 
     def test_seed_override_changes_bagged_results(self, toy_workspace, toy_run, tmp_path):
         _, first_out = toy_run

@@ -652,19 +652,24 @@ class TestBatchLoops:
         assert str(failure) == "member has 3 classes, ensemble expects 2"
         assert result == expected
 
-    def test_a_size_group_over_the_padding_budget_gets_its_own_loop(self):
+    def test_a_size_group_over_the_real_parameter_cap_gets_its_own_loop(self):
         key, other = (0, 30, 60, 2), (0, 30, 61, 2)
         wide, narrow = 4098, 1026  # logreg-2048 and logreg-512 members, 2 classes
-        fit = experiment._MAX_PADDING // (wide - narrow)  # narrow members that may join
+        fit = (experiment._MAX_GROUP_PARAMS - wide) // narrow  # narrow members that may join
+        assert fit == 251  # 4,098 + 251 * 1,026 = 261,624 of 262,144
 
         def loops(shapes):
-            return [members for _, _, members in experiment._loops(shapes)]
+            return [(params, members) for _, params, members in experiment._loops(shapes)]
 
-        assert loops([(key, wide)] + [(key, narrow)] * fit) == [list(range(fit + 1))]
-        assert loops([(key, wide)] + [(key, narrow)] * (fit + 1)) == [[0], list(range(1, fit + 2))]
-        assert loops([(key, wide), (other, narrow)]) == [[0], [1]]
+        assert loops([(key, wide)] + [(key, narrow)] * fit) == [
+            (wide + fit * narrow, list(range(fit + 1)))
+        ]
+        assert loops([(key, wide)] + [(key, narrow)] * (fit + 1)) == [
+            (wide, [0]), ((fit + 1) * narrow, list(range(1, fit + 2)))
+        ]
+        assert loops([(key, wide), (other, narrow)]) == [(wide, [0]), (narrow, [1])]
 
-    def test_extras_fill_loops_but_start_none(self, tasks):
+    def test_extras_fill_loops_but_start_none(self, tasks, monkeypatch):
         data = {name: fresh(task) for name, task in tasks.items()}
 
         def fit(dims, epochs=30, task="ta", seed=0):
@@ -672,8 +677,10 @@ class TestBatchLoops:
             return experiment._Fit(task, FeatureSpec(dims=dims), hyper)
 
         first, wide, other_key, other_task = fit(512), fit(2048), fit(512, 5), fit(512, task="tb")
-        # One of the pair would join the first loop, both would pad it by
-        # more than the budget: neither joins.
+        # The first loop stacks 1,026 + 4,098 parameters by then. One of the
+        # pair (1,026) would join it, both (17,412) would take it over a cap
+        # of 20,000: neither joins, and the pair's own loop fits.
+        monkeypatch.setattr(experiment, "_MAX_GROUP_PARAMS", 20_000)
         pair = (fit(512, seed=1), fit(8192, seed=1))
         last = fit(512, seed=2)
         consumers = [
@@ -689,6 +696,7 @@ class TestBatchLoops:
             [first, wide, last], [other_key], [other_task], [pair[1], pair[0]]
         ]
         assert experiment._schedule(consumers[1:2], data) == [[wide], [other_key]]
+        monkeypatch.undo()
         big, small = fit(2**17, seed=3), fit(512, seed=3)  # 2**18 + 2 parameters: over the cap
         alone = [experiment._Consumer(k, "ta", (f,)) for k, f in enumerate((big, small))]
         assert experiment._schedule(alone, data) == [[big], [small]]

@@ -32,6 +32,26 @@ class TestAccuracy:
         with pytest.raises(BagkitError, match="mismatch"):
             accuracy([0, 1], [0])
 
+    def test_empty_rejected_before_the_type_check(self):
+        with pytest.raises(BagkitError, match="at least one prediction/label pair"):
+            accuracy([], [])
+
+    def test_float_predictions_rejected(self):
+        with pytest.raises(BagkitError, match=r"predictions must be integer class indices, got 0\.7"):
+            accuracy([0.7, 1.2], [0, 1])
+
+    def test_string_predictions_rejected(self):
+        with pytest.raises(BagkitError, match="predictions must be integer class indices, got '1'"):
+            accuracy(["1", "0"], [1, 0])
+
+    def test_boolean_predictions_rejected(self):
+        with pytest.raises(BagkitError, match="predictions must be integer class indices, got True"):
+            evaluate([True, False], [1, 0], 2)
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(BagkitError, match=r"labels must be integer class indices, got 0\.0"):
+            macro_f1(np.array([0, 1]), np.array([0.0, 1.0]), 2)
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         preds = rng.integers(0, 3, size=50)

@@ -426,26 +426,28 @@ class TestDesignMatrix:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_lockstep_gather_sums_in_storage_order(self, k):
-        # Three members of two rows each; member m's columns start at m * dims.
+        # Three members of two rows each; member m's columns start at
+        # columns[m], and the middle member's block is the widest.
         exs = self.examples()
-        dims, members = self.SPEC.dims, 3
+        dims = self.SPEC.dims
+        columns = np.array([0, dims, 3 * dims, 4 * dims])
         pick = np.array([1, 3, 3, 0, 4, 1])
         rows = [
-            {col + i // 2 * dims: count for col, count in featurize(exs[r], self.SPEC).items()}
+            {col + columns[i // 2]: count for col, count in featurize(exs[r], self.SPEC).items()}
             for i, r in enumerate(pick)
         ]
         rng = np.random.default_rng(10 + k)
-        w = rng.normal(size=(members * dims, k))
+        w = rng.normal(size=(columns[-1], k))
         d = rng.normal(size=(len(pick), k))
         matrix = _design_matrix(exs, self.SPEC)
         # A step's gather: into a workspace a longer and a shorter gather used before.
         work = _Workspace()
         for before in (np.arange(len(exs)).repeat(3), pick[:2]):
-            matrix.gather(before, 1, k, work)
-        for x in (matrix.gather(pick, members), matrix.gather(pick, members, k, work)):
-            assert x.shape == (len(pick), members * dims)
+            matrix.gather(before, None, k, work)
+        for x in (matrix.gather(pick, columns), matrix.gather(pick, columns, k, work)):
+            assert x.shape == (len(pick), columns[-1])
             assert np.array_equal(x @ w, _storage_order_products(rows, w))
-            assert np.array_equal(x.T @ d, _storage_order_transposed(rows, d, members * dims))
+            assert np.array_equal(x.T @ d, _storage_order_transposed(rows, d, columns[-1]))
 
     def test_gather_needs_row_pointers(self):
         x = _design_matrix(self.examples(), self.SPEC)
@@ -656,7 +658,7 @@ class TestGradientBuffers:
         batch = np.array([4, 0, 9, 9, 17, 3])  # three rows per member
         l2 = np.array([1e-4, 1e-2])
         cases = (
-            (stacked, x.gather(batch, 2, 2, _Workspace()), y[batch], l2),
+            (stacked, x.gather(batch, np.array([0, 64, 128]), 2, _Workspace()), y[batch], l2),
             ({n: a[0] for n, a in stacked.items()}, x.gather(batch), y[batch], 1e-3),
         )
         for params, rows, labels, reg in cases:
@@ -857,21 +859,44 @@ class TestMixedLoops:
             for name in alone.params:
                 assert np.array_equal(outcome.params[name], alone.params[name]), name
         assert sum(isinstance(o, TrainingDiverged) for o in outcomes) == 1
-        # The zero tails of the smaller feature spaces' rows are still +0.0,
-        # and no model shares memory with a stack.
+        # Each stack holds exactly the live members' parameters, the members
+        # in order of feature space, and no model shares memory with a stack.
         stacks = seen[-1]
-        live = [(m, o) for m, o in zip(members, outcomes) if not isinstance(o, TrainingDiverged)]
-        assert all(len(stack) == len(live) for stack in stacks.values())
-        for row, (m, model) in enumerate(live):
-            for name, stack in stacks.items():
-                size = model.params[name].size
-                tail = stack[row, size:]
-                assert not tail.any() and not np.signbit(tail).any(), name
-                assert np.array_equal(stack[row, :size], model.params[name])
+        live = [model for model in outcomes if not isinstance(model, TrainingDiverged)]
+        by_size = sorted(live, key=lambda model: model.spec.dims)
+        for name, stack in stacks.items():
+            assert np.array_equal(
+                stack.reshape(-1), np.concatenate([model.params[name] for model in by_size])
+            ), name
+            for model in live:
                 assert not np.shares_memory(model.params[name], stack)
-        widths = {name: stack.shape[1] for name, stack in stacks.items()}
         first = "out_weight" if hidden == 0 else "hidden_weight"
-        assert widths[first] == 2048 * (hidden or num_classes)
+        assert stacks[first].shape == (sum(m.spec.dims for m in live) * (hidden or num_classes),)
+        assert all(stacks[name].shape[0] == len(live) for name in stacks if name != first)
+
+    @pytest.mark.parametrize("hidden", [0, 3], ids=["logreg", "mlp"])
+    def test_a_block_emptied_by_divergence(self, hidden):
+        # Both members of the smallest feature space, the stack's first
+        # block, diverge: the stack drops that block and the others go on.
+        task = synthetic_task("blocks", seed=5, n_train=70, n_val=10, n_test=10)
+        y = task.train.labels()
+        members = []
+        for seed, dims in enumerate((64, 8, 512, 64, 8, 512)):
+            spec = FeatureSpec(dims=dims)
+            lr, l2 = (1e40, 1.0) if dims == 8 else (0.5, 1e-4)
+            hyper = Hyperparams(learning_rate=lr, l2=l2, epochs=4, hidden_size=hidden, seed=seed)
+            rows = np.array(bootstrap(70, 40 + seed).indices)
+            members.append(_Member(_design_matrix(task.train, spec), y, 2, spec, hyper, rows))
+        outcomes = _fit_many(members)
+        for outcome, m in zip(outcomes, members):
+            try:
+                alone = _fit_rows(m.x.gather(m.rows), m.y[m.rows], 2, m.spec, m.hyper)
+            except TrainingDiverged as exc:
+                assert m.spec.dims == 8 and str(outcome) == str(exc)
+                continue
+            for name in alone.params:
+                assert np.array_equal(outcome.params[name], alone.params[name]), name
+        assert [isinstance(o, TrainingDiverged) for o in outcomes] == [False, True, False] * 2
 
     def test_members_must_share_class_count(self):
         two, three = (self.members(k, 0)[:1] for k in (2, 3))

@@ -11,8 +11,8 @@ import types
 import bagkit
 from bagkit import cli
 
-# The names ``from bagkit import *`` binds, submodules aside. The package has
-# no ``__all__``, so these are its public names.
+# The names ``bagkit.__all__`` lists, with the errors below: the names
+# ``from bagkit import *`` binds.
 SIGNATURES = {
     "BootstrapPlan": "(n, m, dataset_size, base_seed, first_level, second_level)",
     "BootstrapSample": "(source_size, indices, seed)",
@@ -98,13 +98,12 @@ EXIT_CODES = {
 }
 
 
-def public_names():
+def star_import() -> dict:
+    """The names ``from bagkit import *`` binds, and their values."""
     namespace = {}
     exec("from bagkit import *", namespace)
-    return {
-        name for name, value in namespace.items()
-        if name != "__builtins__" and not isinstance(value, types.ModuleType)
-    }
+    del namespace["__builtins__"]
+    return namespace
 
 
 def bare_signature(obj) -> str:
@@ -118,7 +117,11 @@ def bare_signature(obj) -> str:
 
 
 def test_public_names():
-    assert public_names() == set(SIGNATURES) | set(ERRORS)
+    assert len(bagkit.__all__) == len(set(bagkit.__all__))
+    assert set(bagkit.__all__) == set(SIGNATURES) | set(ERRORS)
+    namespace = star_import()
+    assert set(namespace) == set(bagkit.__all__)
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
 
 
 def test_signatures():
