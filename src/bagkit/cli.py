@@ -29,7 +29,7 @@ from .experiment import (
 from .ioutil import atomic_write_text, open_text
 from .predictor import FeatureSpec, _expected_shapes, load_model, param_count, save_model
 from .prune import PruneSpec, prune_magnitude, sparsity
-from .resample import plan_to_manifest
+from .resample import _manifest, _plan_seeds
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -140,8 +140,8 @@ def cmd_variance(args) -> int:
     out_dir = Path(args.out)
     csv_path = out_dir / f"variance_{args.task}.csv"
     write_variance_report(report, csv_path)
-    plan = task_data._plan(args.n, args.m, args.seed)
-    atomic_write_text(out_dir / f"plan_{args.task}.json", plan_to_manifest(plan))
+    sizes = (args.n, args.m, len(task_data.train), args.seed)
+    atomic_write_text(out_dir / f"plan_{args.task}.json", _manifest(*sizes, *_plan_seeds(*sizes)))
     print(f"wrote {csv_path}")
     print(
         f"{args.task} {report.model} n={report.n} m={report.m} metric={report.metric}: "

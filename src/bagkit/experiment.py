@@ -74,7 +74,7 @@ from .predictor import (
     param_count,
 )
 from .prune import PruneSpec, prune_magnitude
-from .resample import BootstrapPlan, _draw, _task_seed, derive_seed, make_plan
+from .resample import _draw, _plan_seeds, _task_seed, derive_seed
 
 __all__ = [
     "MODEL_KINDS",
@@ -255,9 +255,9 @@ class TaskData:
     Also keeps what a run derives from the task alone and reuses across
     members and configurations, for as long as the TaskData lives: one
     design matrix per (split, feature space), one label array per split, one
-    grid-search winner per (model kind, feature space) and one variance
-    plan. Trained models are not kept here: a schedule holds each only until
-    its last use (`_run_schedule`).
+    grid-search winner per (model kind, feature space). Trained models are
+    not kept here: a schedule holds each only until its last use
+    (`_run_schedule`).
     """
 
     train: Dataset
@@ -296,13 +296,6 @@ class TaskData:
             self._matrix("train", fit.spec), self._labels("train"), self.train.num_classes,
             fit.spec, fit.hyper, rows,
         )
-
-    def _plan(self, n: int, m: int, base_seed: int) -> BootstrapPlan:
-        """The variance protocol's two-level plan over the training split."""
-        key = ("plan", n, m, base_seed)
-        if key not in self._cache:
-            self._cache[key] = make_plan(n, m, len(self.train), base_seed)
-        return self._cache[key]
 
 
 class _Fit(NamedTuple):
@@ -686,16 +679,15 @@ def variance_analysis(
     """
     if n < 2:
         raise ConfigError(f"variance analysis requires n >= 2, got {n}")
-    plan = task_data._plan(n, m, base_seed)
     hyper = member.hyper_override or DEFAULT_HYPER[member.model_kind]
     # One consumer per first-level sample: its single model, then its
     # ensemble's members, each seeded by the last sample of its chain.
     consumers = [
         _Consumer(0, task_name, tuple(
             _Fit(task_name, member.feature_spec, replace(hyper, seed=chain[-1]), chain)
-            for chain in [(first.seed,)] + [(first.seed, s.seed) for s in second]
+            for chain in [(first,)] + [(first, seed) for seed in second]
         ))
-        for first, second in zip(plan.first_level, plan.second_level)
+        for first, second in zip(*_plan_seeds(n, m, len(task_data.train), base_seed))
     ]
     singles: list[float] = []
     ensembles: list[float] = []

@@ -48,6 +48,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import zipfile
 import zlib
 from collections import defaultdict
@@ -112,6 +113,10 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN and ±inf fail this test, and so does a JSON integer too large for a float.
+        for name in ("learning_rate", "l2"):
+            if not abs(getattr(self, name)) <= sys.float_info.max:
+                raise DataError(f"{name} must be a finite float, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:

@@ -4,9 +4,10 @@ A bootstrap sample of an N-example dataset is N indices drawn uniformly with
 replacement from [0, N). A plan stacks two levels of resampling: n first-level
 samples of the source dataset, and m second-level samples per first-level
 sample, where second-level indices address *positions of the first-level
-sample* rather than the source dataset. The plan is what the variance
-protocol trains against: n single models (first level) versus n ensembles of
-m models (second level).
+sample* rather than the source dataset. The variance protocol trains on the
+plan's seeds alone, drawing each sample's rows as it trains: n single models
+(first level) versus n ensembles of m models (second level). Its manifest is
+written from those seeds, without drawing a sample.
 
 Every sample's seed is derived from (base_seed, level, i, j) with a stable
 keyed hash, so adding samples never reshuffles existing ones and a plan can
@@ -123,13 +124,11 @@ def bootstrap(dataset_size: int, seed: int) -> BootstrapSample:
     )
 
 
-def make_plan(n: int, m: int, dataset_size: int, base_seed: int) -> BootstrapPlan:
-    """Build the full two-level plan for the variance protocol.
+def _plan_seeds(n: int, m: int, dataset_size: int, base_seed: int):
+    """The checked seeds of a two-level plan: (first-level seeds, seeds per second-level group).
 
     First-level sample i uses seed derive_seed(base_seed, 1, i); second-level
-    sample j of group i uses derive_seed(base_seed, 2, i, j) and addresses
-    positions of first-level sample i (both are size dataset_size, so the two
-    levels share a source_size).
+    sample j of group i uses derive_seed(base_seed, 2, i, j).
     """
     if n < 1 or m < 1:
         raise DataError(f"plan requires n >= 1 and m >= 1, got n={n}, m={m}")
@@ -137,21 +136,26 @@ def make_plan(n: int, m: int, dataset_size: int, base_seed: int) -> BootstrapPla
         raise DataError("plan requires dataset_size >= 1")
     if not 0 <= base_seed < 2**64:
         raise DataError(f"plan base_seed must be in [0, 2**64), got {base_seed}")
+    first = [derive_seed(base_seed, 1, i) for i in range(n)]
+    second = [[derive_seed(base_seed, 2, i, j) for j in range(m)] for i in range(n)]
+    if len(set(first).union(*second)) != n * (m + 1):
+        raise DataError("derived sample seeds collide; change base_seed")
+    return first, second
 
-    first_level = tuple(
-        bootstrap(dataset_size, derive_seed(base_seed, 1, i)) for i in range(n)
-    )
-    second_level = tuple(
-        tuple(bootstrap(dataset_size, derive_seed(base_seed, 2, i, j)) for j in range(m))
-        for i in range(n)
-    )
+
+def make_plan(n: int, m: int, dataset_size: int, base_seed: int) -> BootstrapPlan:
+    """Draw the full two-level plan: one bootstrap sample per seed of `_plan_seeds`.
+
+    The variance protocol trains on these seeds alone and draws no plan.
+    Second-level sample j of group i addresses positions of first-level
+    sample i (both are size dataset_size, so the two levels share a
+    source_size).
+    """
+    first, second = _plan_seeds(n, m, dataset_size, base_seed)
     return BootstrapPlan(
-        n=n,
-        m=m,
-        dataset_size=dataset_size,
-        base_seed=base_seed,
-        first_level=first_level,
-        second_level=second_level,
+        n=n, m=m, dataset_size=dataset_size, base_seed=base_seed,
+        first_level=tuple(bootstrap(dataset_size, seed) for seed in first),
+        second_level=tuple(tuple(bootstrap(dataset_size, seed) for seed in g) for g in second),
     )
 
 
@@ -169,30 +173,31 @@ def materialize(dataset: Dataset, sample: BootstrapSample) -> Dataset:
     return Dataset(name=dataset.name, examples=examples, num_classes=dataset.num_classes)
 
 
-def plan_to_manifest(plan: BootstrapPlan) -> str:
-    """Serialize a plan to a JSON text manifest (seeds only; indices are re-derivable)."""
+def _manifest(n: int, m: int, dataset_size: int, base_seed: int, first, second) -> str:
+    """The JSON text manifest of a plan's seeds (indices are re-derivable)."""
     doc = {
-        "format": _MANIFEST_FORMAT,
-        "n": plan.n,
-        "m": plan.m,
-        "dataset_size": plan.dataset_size,
-        "base_seed": plan.base_seed,
-        "first_level_seeds": [s.seed for s in plan.first_level],
-        "second_level_seeds": [[s.seed for s in group] for group in plan.second_level],
+        "format": _MANIFEST_FORMAT, "n": n, "m": m, "dataset_size": dataset_size,
+        "base_seed": base_seed, "first_level_seeds": first, "second_level_seeds": second,
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
+def plan_to_manifest(plan: BootstrapPlan) -> str:
+    """Serialize a plan to a JSON text manifest (seeds only; indices are re-derivable)."""
+    return _manifest(
+        plan.n, plan.m, plan.dataset_size, plan.base_seed,
+        [s.seed for s in plan.first_level], [[s.seed for s in g] for g in plan.second_level],
+    )
+
+
 def plan_from_manifest(text: str) -> BootstrapPlan:
-    """Rebuild a plan from its manifest and verify the recorded seeds match."""
+    """Rebuild a plan from its manifest, once its recorded seeds match the derived ones."""
     doc = parse_json(text, "plan manifest", DataError)
     if isinstance(doc, dict) and doc.get("format") != _MANIFEST_FORMAT:
         raise DataError(f"unrecognized plan manifest format: {doc.get('format')!r}")
     check_object(doc, _MANIFEST_FIELDS, "plan manifest", DataError)
-    plan = make_plan(doc["n"], doc["m"], doc["dataset_size"], doc["base_seed"])
+    sizes = (doc["n"], doc["m"], doc["dataset_size"], doc["base_seed"])
     # Plain list equality: a group or seed of any other JSON kind just differs.
-    recorded = (doc["first_level_seeds"], doc["second_level_seeds"])
-    derived = ([s.seed for s in plan.first_level], [[s.seed for s in g] for g in plan.second_level])
-    if recorded != derived:
+    if (doc["first_level_seeds"], doc["second_level_seeds"]) != _plan_seeds(*sizes):
         raise DataError("plan manifest seeds do not match the derivation scheme")
-    return plan
+    return make_plan(*sizes)

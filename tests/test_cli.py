@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bagkit
-from bagkit import cli, experiment, predictor
+from bagkit import cli, experiment, predictor, resample
 from bagkit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -312,10 +312,12 @@ class TestVariance:
         assert code == EXIT_OK
         assert file_hashes(out_dir, GOLDEN_VARIANCE_MLP_PRUNED) == GOLDEN_VARIANCE_MLP_PRUNED
 
-    def test_plan_built_once(self, toy_workspace, tmp_path, monkeypatch):
+    def test_plan_written_from_seeds_without_drawing_a_sample(self, toy_workspace, tmp_path,
+                                                              monkeypatch):
+        train = load_data_dir(toy_workspace / "data", ["topics2"])["topics2"].train
+        expected = resample.plan_to_manifest(resample.make_plan(3, 2, len(train), 0))
         loops = record_loops(monkeypatch)
-        calls = count_calls(monkeypatch, experiment, ("make_plan",))
-        cli_calls = count_calls(monkeypatch, cli, ("make_plan",))
+        calls = count_calls(monkeypatch, resample, ("make_plan", "bootstrap"))
         code = run_cli(
             "variance",
             "--task", "topics2",
@@ -326,12 +328,30 @@ class TestVariance:
             "--m", 2,
         )
         assert code == EXIT_OK
-        assert calls["make_plan"] + cli_calls["make_plan"] == 1
+        assert calls == {"make_plan": 0, "bootstrap": 0}
+        assert (tmp_path / "plan_topics2.json").read_text() == expected
         # Every single model and ensemble member, as many first-level samples
         # per lockstep loop as the width rule allows.
         assert sum(len(loop.members) for loop in loops) == 3 + 3 * 2
         per_loop = max(1, experiment._MAX_GROUP_PARAMS // (3 * (256 * 2 + 2)))
         assert len(loops) == -(-3 // per_loop)
+
+    def test_colliding_seeds_exit_5_and_write_nothing(self, toy_workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(resample, "derive_seed", lambda *key: 7)
+        out_dir = tmp_path / "var"
+        code = run_cli(
+            "variance",
+            "--task", "topics2",
+            "--data", toy_workspace / "data",
+            "--out", out_dir,
+            "--dims", 256,
+            "--n", 3,
+            "--m", 2,
+        )
+        assert code == EXIT_IO
+        assert "derived sample seeds collide; change base_seed" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("per_loop", [1, 2])
     def test_split_groups_give_the_same_report(self, toy_workspace, tmp_path, monkeypatch,
@@ -487,6 +507,12 @@ def _write_task_dir(data_dir, **meta):
                              "seed": 0}}, {}, None, EXIT_VALIDATION, "hyper_override.epochs"),
         ({"hyper_override": {"learning_rate": 0.5, "epochs": 0, "l2": 0.0, "hidden_size": 0,
                              "seed": 0}}, {}, None, EXIT_VALIDATION, "members[0]: epochs"),
+        ({"hyper_override": {"learning_rate": float("nan"), "epochs": 2, "l2": 0.0,
+                             "hidden_size": 0, "seed": 0}}, {}, None, EXIT_VALIDATION,
+         "members[0]: learning_rate must be a finite float, got nan"),
+        ({"hyper_override": {"learning_rate": 0.5, "epochs": 2, "l2": float("inf"),
+                             "hidden_size": 0, "seed": 0}}, {}, None, EXIT_VALIDATION,
+         "members[0]: l2 must be a finite float, got inf"),
         ({}, {"base_seed": 7.9}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": True}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": -5}, None, EXIT_VALIDATION, "configs[0]: config 'c1': base_seed"),
@@ -502,8 +528,8 @@ def _write_task_dir(data_dir, **meta):
     ],
     ids=[
         "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
-        "ngram-float", "epochs-float", "epochs-zero", "seed-float", "seed-bool", "seed-negative",
-        "seed-too-large", "classes-string",
+        "ngram-float", "epochs-float", "epochs-zero", "learning-rate-nan", "l2-infinity",
+        "seed-float", "seed-bool", "seed-negative", "seed-too-large", "classes-string",
         "classes-float", "label-index-string", "label-map-list", "metric-unknown", "classes-one",
         "label-index-range", "classes-unreachable",
     ],
@@ -620,8 +646,8 @@ def _patch_first_member(data: bytes, case: str) -> bytes:
 @pytest.mark.parametrize(
     "case",
     ["garbage", "meta-list", "no-param-order", "no-param-array", "spec-wrong-type",
-     "spec-missing-field", "spec-bad-value", "param-wrong-length", "zip-encrypted",
-     "zip-method-99", "zip-deflate-garbage"],
+     "spec-missing-field", "spec-bad-value", "hyper-nan-learning-rate", "param-wrong-length",
+     "zip-encrypted", "zip-method-99", "zip-deflate-garbage"],
 )
 def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
     """A model file that save_model did not write exits 5 naming the file."""
@@ -640,6 +666,8 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
         del meta["spec"]["ngram_max"]
     elif case == "spec-bad-value":
         meta["spec"]["dims"] = 17
+    elif case == "hyper-nan-learning-rate":
+        meta["hyper"]["learning_rate"] = float("nan")  # json.dumps writes NaN, and loads reads it
     elif case == "param-wrong-length":
         arrays["param:out_bias"] = np.zeros(5)
     path = tmp_path / "bad.npz"

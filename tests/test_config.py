@@ -62,6 +62,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="missing fields"):
             parse_config_text(json.dumps(doc))
 
+    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "int-beyond-float"])
+    def test_non_finite_hyperparameter_names_member_and_field(self, field, value):
+        hyper = {"learning_rate": 0.5, "epochs": 2, "l2": 0.0, "hidden_size": 0, "seed": 0}
+        doc = minimal_doc()
+        doc["configs"][0]["members"][0]["hyper_override"] = {**hyper, field: value}
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(json.dumps(doc))
+        located = f"configs[0].members[0]: {field} must be a finite float, got {value}"
+        assert located in str(exc.value)
+
     def test_missing_config_fields(self):
         doc = {"configs": [{"config_id": "x"}]}
         with pytest.raises(ConfigError, match="missing fields"):

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bagkit import experiment
+from bagkit import experiment, resample
 from bagkit.dataset import Dataset
 from bagkit.ensemble import Ensemble, predict_dataset
-from bagkit.errors import BagkitError, ConfigError, TrainingDiverged
+from bagkit.errors import BagkitError, ConfigError, DataError, TrainingDiverged
 from bagkit.experiment import (
     DEFAULT_SEARCH_SPACE,
     EnsembleConfig,
@@ -58,7 +58,7 @@ def two_class_val():
     return TaskData(train=task.train, val=val, test=task.test, metric=task.metric)
 
 
-KEPT = {"rows", "labels", "search", "plan"}  # what a TaskData may keep: never a model
+KEPT = {"rows", "labels", "search"}  # what a TaskData may keep: never a model
 
 
 def kept(task_data):
@@ -478,6 +478,11 @@ class TestVarianceAnalysis:
         variance_analysis(data, member(bagged=True, hyper=Hyperparams(epochs=2)), n=3, m=2,
                           base_seed=8)
         assert kept(data) <= KEPT
+
+    def test_colliding_seeds_rejected(self, task_acc, monkeypatch):
+        monkeypatch.setattr(resample, "derive_seed", lambda *key: 7)
+        with pytest.raises(DataError, match="derived sample seeds collide; change base_seed"):
+            variance_analysis(fresh(task_acc), member(bagged=True), n=2, m=2, base_seed=0)
 
     def test_n_below_two_rejected(self, task_acc):
         with pytest.raises(ConfigError):

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from bagkit import resample
 from bagkit.errors import DataError
 from bagkit.resample import (
+    BootstrapPlan,
     BootstrapSample,
     bootstrap,
     derive_seed,
@@ -175,6 +177,34 @@ class TestManifest:
         text = plan_to_manifest(plan).replace(str(plan.first_level[0].seed), "12345")
         with pytest.raises(DataError, match="seeds"):
             plan_from_manifest(text)
+
+    def test_tampered_seeds_rejected_before_any_draw(self, monkeypatch):
+        plan = make_plan(2, 2, 10, base_seed=1)
+        text = plan_to_manifest(plan).replace(str(plan.second_level[1][0].seed), "12345")
+        drawn = []
+        monkeypatch.setattr(resample, "bootstrap", lambda *args: drawn.append(args))
+        with pytest.raises(DataError) as exc:
+            plan_from_manifest(text)
+        assert str(exc.value) == "plan manifest seeds do not match the derivation scheme"
+        assert drawn == []
+
+
+COLLIDE = "derived sample seeds collide; change base_seed"
+
+
+class TestSeedCollision:
+    """Two samples of a plan may never share a seed, whoever builds the plan."""
+
+    def test_make_plan_rejects_colliding_derived_seeds(self, monkeypatch):
+        monkeypatch.setattr(resample, "derive_seed", lambda *key: 7)
+        with pytest.raises(DataError, match=re.escape(COLLIDE)):
+            make_plan(2, 2, 10, base_seed=0)
+
+    def test_hand_built_plan_rejects_a_shared_seed(self):
+        first, other = bootstrap(5, 11), bootstrap(5, 12)
+        with pytest.raises(DataError, match=re.escape(COLLIDE)):
+            BootstrapPlan(n=1, m=2, dataset_size=5, base_seed=0, first_level=(first,),
+                          second_level=((other, first),))
 
 
 def test_sample_invariants_enforced():
