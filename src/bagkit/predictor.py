@@ -33,6 +33,10 @@ the cells one sums into are the positions the other reads from. Each member
 keeps its own seeded stream for initialization and batch order, and every
 sum adds the same terms in the same order as it would alone, so a member
 trained in a group is bit-identical to the same member trained by itself.
+The first-layer gradient product ``x.T @ d`` is summed zero-filled and added
+whole when the batch is dense, and added only at the batch's own cells,
+through a zero accumulator in the workspace, when it is sparse
+(`_SPARSE_DENSITY`); both give every parameter the same bits (`_fit_many`).
 
 Parameters live in named flat float64 arrays. A flat index maps to the 2-D
 weight position row-major: ``out_weight[k]`` is row ``k // C``, column
@@ -79,6 +83,11 @@ __all__ = [
 ]
 
 _BATCH_SIZE = 32
+# A training step whose batch has fewer entries than this share of the
+# first-layer stack's input columns adds its gradient product only at its own
+# cells (`_Rows.add_product`). The share is where the two ways cost the same:
+# 1/16 at 30,720 and 65,536 parameters, timed on 2 x86-64 cores, one thread.
+_SPARSE_DENSITY = 1 / 16
 _TINY = np.finfo(np.float64).tiny
 _FIELD_SEP = "\x1f"
 _MODEL_FORMAT = "bagkit-model-v1"
@@ -151,6 +160,8 @@ class Model:
     params: dict[str, np.ndarray]
 
     def __post_init__(self):
+        if self.num_classes < 2:
+            raise BagkitError(f"num_classes must be >= 2, got {self.num_classes}")
         expected = _expected_shapes(self.spec, self.hyper.hidden_size, self.num_classes)
         if set(self.params) != set(expected):
             raise BagkitError(
@@ -242,8 +253,11 @@ class _Rows:
     slice of all entries per output column j, and sums them with
     ``np.bincount`` over the flat cells ``j + row * k``: a cell takes terms
     from its own slice only, and each slice lists the entries in storage
-    order. ``.T`` swaps ``row`` and ``col`` and moves no entry, so ``x.T @ d``
-    keeps the order; a gather keeps each row's entries in order.
+    order. `add_product` adds the same terms in the same order with
+    ``np.add.at`` into a kept zero array instead, and adds only the cells it
+    touched, so each cell's sum is the same float. ``.T`` swaps ``row`` and
+    ``col`` and moves no entry, so ``x.T @ d`` keeps the order; a gather
+    keeps each row's entries in order.
 
     ``w`` is read at the flat positions ``j + col * k``. For one width k the
     cells of ``x @ w`` are the positions ``x.T @ d`` reads ``d`` at, and the
@@ -334,7 +348,8 @@ class _Rows:
             return _Rows(data, col, shape, np.concatenate(([0], ends)), row)
         return _Rows(data, col, shape, row=row, cells=_cells(row, col, k, work))
 
-    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+    def _terms(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each term of ``self @ w`` and the flat cell ``j + row * k`` it sums into."""
         # Class-major: slice j holds every entry's term for output column j,
         # in storage order, so each pass runs over contiguous entries. The
         # weights are read by flat index, which copies no part of w.
@@ -345,10 +360,27 @@ class _Rows:
         sum_at, read_at, products = cells
         w.reshape(-1).take(read_at, out=products, mode="wrap")
         np.multiply(products, self.data, out=products)
-        sums = np.bincount(
-            sum_at.reshape(-1), weights=products.reshape(-1), minlength=self.shape[0] * k
-        )
+        return sum_at.reshape(-1), products.reshape(-1)
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        sum_at, terms = self._terms(w)
+        k = w.shape[1]
+        sums = np.bincount(sum_at, weights=terms, minlength=self.shape[0] * k)
         return sums.reshape(self.shape[0], k)
+
+    def add_product(self, w: np.ndarray, out: np.ndarray, zeros: np.ndarray) -> None:
+        """``out += (self @ w).ravel()``, added only at the product's own cells.
+
+        ``zeros`` is an all-zero array as long as ``out``. `np.add.at` adds
+        each cell's terms into it in storage order, from zero, exactly as
+        `np.bincount` sums them for ``@``; those sums are added into ``out``
+        and their cells zeroed again, so ``zeros`` is all zeros on return.
+        No product-sized array is filled or added.
+        """
+        sum_at, terms = self._terms(w)
+        np.add.at(zeros, sum_at, terms)
+        out[sum_at] += zeros[sum_at]
+        zeros[sum_at] = 0.0
 
 
 def _design_matrix(examples: Iterable[Example], spec: FeatureSpec) -> _Rows:
@@ -561,6 +593,7 @@ def _loss_and_grads(
     want_grads: bool = True,
     out: dict[str, np.ndarray] | None = None,
     blocks: list[tuple[slice, int]] | None = None,
+    work: _Workspace | None = None,
 ) -> tuple[float | np.ndarray, dict[str, np.ndarray] | None]:
     """Mean cross-entropy plus 0.5 * l2 * ||weights||^2, and its gradients, per member.
 
@@ -576,11 +609,16 @@ def _loss_and_grads(
     number loss and flat gradients. The gradients are written into ``out``
     (arrays shaped like ``params``, returned) when given, and into new
     arrays otherwise.
+
+    With ``work``, a training loop's workspace, a sparse batch adds the
+    first-layer product ``x.T @ d`` only at its own cells, through a zero
+    accumulator kept in ``work`` (see `_fit_many`); without it the
+    zero-filled product is always added whole.
     """
     if params["out_bias"].ndim == 1:
         loss, grads = _loss_and_grads(
             _one(params), x, labels, num_classes, hidden_size, np.array([l2]), want_grads,
-            None if out is None else _one(out),
+            None if out is None else _one(out), work=work,
         )
         return float(loss[0]), None if grads is None else {n: g[0] for n, g in grads.items()}
 
@@ -603,22 +641,30 @@ def _loss_and_grads(
 
     grads = {name: np.empty_like(arr) for name, arr in params.items()} if out is None else out
 
-    def weight_grad(name: str, product: np.ndarray) -> None:
+    def weight_grad(name: str, product: np.ndarray | None) -> None:
         # l2 * w + product, elementwise the same floats as product + l2 * w,
         # each block's l2 broadcast over its rows.
         for (rows, w), (_, grad) in zip(_rows(params[name], blocks), _rows(grads[name], blocks)):
             np.multiply(l2[rows, None], w, out=grad)
-        grads[name] += product.reshape(grads[name].shape)
+        if product is not None:
+            grads[name] += product.reshape(grads[name].shape)
+
+    def first_layer_grad(name: str, d: np.ndarray) -> None:
+        if work is None or len(x.data) >= _SPARSE_DENSITY * x.shape[1]:
+            return weight_grad(name, x.T @ d)
+        weight_grad(name, None)
+        grad = grads[name].reshape(-1)
+        x.T.add_product(d, grad, work("grad_sums", grad.shape, make=np.zeros))
 
     if hidden is None:
-        weight_grad("out_weight", x.T @ d_logits)
+        first_layer_grad("out_weight", d_logits)
     else:
         weight_grad("out_weight", hidden.transpose(0, 2, 1) @ d_member)
     grads["out_bias"][...] = d_member.sum(axis=1)
     if hidden is not None:
         w_o = params["out_weight"].reshape(members, hidden_size, num_classes)
         d_hidden = (d_member @ w_o.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
-        weight_grad("hidden_weight", x.T @ d_hidden.reshape(-1, hidden_size))
+        first_layer_grad("hidden_weight", d_hidden.reshape(-1, hidden_size))
         grads["hidden_bias"][...] = d_hidden.sum(axis=1)
     return loss, grads
 
@@ -719,6 +765,18 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
     size, or the class count for logistic regression), so the storage-order
     rule of `_Rows` holds for both. A member whose loss goes non-finite is
     dropped with its error and the others go on.
+
+    The first-layer gradient is ``l2 * w + x.T @ d``. A step whose batch has
+    fewer entries than `_SPARSE_DENSITY` times the stack's input columns
+    adds the product only at its own cells, through a zero accumulator kept
+    in the workspace and zeroed again at those cells (`_Rows.add_product`);
+    a denser step adds the zero-filled product whole. A touched cell gets
+    ``l2 * w + (0 + t1 + t2 + ...)`` either way, its terms in storage
+    order. An untouched cell differs only by the dense way's ``+ 0.0``,
+    which changes nothing but the sign of a zero gradient (``-0.0 + 0.0``
+    is ``0.0``). No weight is ever -0.0 (initial draws are ``0.0 + scale *
+    z``, and ``a - b`` is -0.0 only when ``a`` is), so ``w - (±0)`` is ``w``
+    and both ways train the same bits.
     """
     first = members[0]
     n, num_classes = len(first.rows), first.num_classes
@@ -767,7 +825,7 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
             batch = order[:, start : start + _BATCH_SIZE].ravel()
             loss, _ = step(
                 params, x.gather(batch, columns, width, work), y[batch], num_classes, hidden,
-                l2, out=grads, blocks=blocks,
+                l2, out=grads, blocks=blocks, work=work,
             )
             finite = np.isfinite(loss)
             if not finite.all():

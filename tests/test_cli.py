@@ -261,6 +261,34 @@ class TestRun:
         assert stacks[0] == {"out_weight": (8 * (512 + 1024 + 2048) * 2,), "out_bias": (24, 2)}
         assert loops[0].params == 57_344 + 24 * 2
 
+    def test_toy_steps_add_the_whole_product(self, toy_workspace, tmp_path, monkeypatch):
+        # Every toy step's batch holds at least about a tenth as many entries
+        # as its stack has input columns, above predictor._SPARSE_DENSITY:
+        # all 2,160 steps add the zero-filled gradient product, none adds at
+        # its own cells only.
+        steps, sparse = [], []
+        real_step, real_add = predictor._loss_and_grads, predictor._Rows.add_product
+
+        def step(*args, **kwargs):
+            steps.append(kwargs["work"])
+            return real_step(*args, **kwargs)
+
+        def add_product(self, *args):
+            sparse.append(self.shape)
+            return real_add(self, *args)
+
+        monkeypatch.setattr(predictor, "_loss_and_grads", step)
+        monkeypatch.setattr(predictor._Rows, "add_product", add_product)
+        code = run_cli(
+            "run",
+            "--config", toy_workspace / "configs.json",
+            "--data", toy_workspace / "data",
+            "--out", tmp_path,
+        )
+        assert code == EXIT_OK
+        assert len(steps) == 2160 and all(work is not None for work in steps)
+        assert sparse == []
+
     def test_seed_override_changes_bagged_results(self, toy_workspace, toy_run, tmp_path):
         _, first_out = toy_run
         seeded_out = tmp_path / "outseed"
@@ -647,7 +675,7 @@ def _patch_first_member(data: bytes, case: str) -> bytes:
     "case",
     ["garbage", "meta-list", "no-param-order", "no-param-array", "spec-wrong-type",
      "spec-missing-field", "spec-bad-value", "hyper-nan-learning-rate", "param-wrong-length",
-     "zip-encrypted", "zip-method-99", "zip-deflate-garbage"],
+     "zip-encrypted", "zip-method-99", "zip-deflate-garbage", "num-classes-0", "num-classes-1"],
 )
 def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
     """A model file that save_model did not write exits 5 naming the file."""
@@ -670,6 +698,10 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
         meta["hyper"]["learning_rate"] = float("nan")  # json.dumps writes NaN, and loads reads it
     elif case == "param-wrong-length":
         arrays["param:out_bias"] = np.zeros(5)
+    elif case.startswith("num-classes-"):
+        # Arrays of the lengths that class count implies: only the count is wrong.
+        meta["num_classes"] = k = int(case[-1])
+        arrays = {"param:out_weight": np.zeros(16 * k), "param:out_bias": np.zeros(k)}
     path = tmp_path / "bad.npz"
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
@@ -681,6 +713,8 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
     assert code == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    if case.startswith("num-classes-"):
+        assert f"num_classes must be >= 2, got {case[-1]}" in err
     assert not (tmp_path / "p.npz").exists()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from array import array
 
 import numpy as np
@@ -772,29 +773,41 @@ class TestStepWorkspace:
 
     @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
     def test_both_products_read_the_same_index_arrays(self, hidden, monkeypatch):
+        # Either way of summing the backward product (see TestSparseSteps)
+        # reads the gather's own cells arrays, swapped: the forward
+        # product's sums are its reads.
         from bagkit import predictor
 
-        products, built = [], []
-        real_matmul, real_class_major = predictor._Rows.__matmul__, predictor._class_major
+        real_terms, real_add = predictor._Rows._terms, predictor._Rows.add_product
+        real_class_major = predictor._class_major
 
-        def matmul(self, w):
+        def terms(self, w):
             products.append(self.cells)
-            return real_matmul(self, w)
+            return real_terms(self, w)
+
+        def add_product(self, *args):
+            sparse.append(self.cells)
+            return real_add(self, *args)
 
         def class_major(*args):
             built.append(args[0])
             return real_class_major(*args)
 
-        monkeypatch.setattr(predictor._Rows, "__matmul__", matmul)
+        monkeypatch.setattr(predictor._Rows, "_terms", terms)
+        monkeypatch.setattr(predictor._Rows, "add_product", add_product)
         monkeypatch.setattr(predictor, "_class_major", class_major)
         x, y = self.task()
         hypers, row_sets = self.members(x, 2, hidden)
-        lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         steps = 3 * 3  # 75 rows in batches of 32, three epochs
-        assert len(products) == 2 * steps and len(built) == 2 * steps
-        for forward, backward in zip(products[::2], products[1::2]):
-            assert forward[0] is backward[1] and forward[1] is backward[0]
-            assert forward[2] is backward[2]
+        for density in (0.0, math.inf):  # every step dense, then every step sparse
+            products, built, sparse = [], [], []
+            monkeypatch.setattr(predictor, "_SPARSE_DENSITY", density)
+            lockstep(x, y, 2, self.SPEC, hypers, row_sets)
+            assert len(products) == 2 * steps and len(built) == 2 * steps
+            assert sparse == (products[1::2] if density else [])
+            for forward, backward in zip(products[::2], products[1::2]):
+                assert forward[0] is backward[1] and forward[1] is backward[0]
+                assert forward[2] is backward[2]
 
 
 class TestMixedLoops:
@@ -902,6 +915,50 @@ class TestMixedLoops:
         two, three = (self.members(k, 0)[:1] for k in (2, 3))
         with pytest.raises(ValueError, match="class count"):
             _fit_many(two + three)
+
+
+class TestSparseSteps:
+    """A first-layer gradient added at the batch's own cells trains the same bits as the whole product."""
+
+    def fit_with(self, members, density, monkeypatch):
+        """`_fit_many` with the rule's share set to ``density``, and the workspaces it made."""
+        from bagkit import predictor
+
+        workspaces = []
+
+        class Recorded(predictor._Workspace):
+            def __init__(self):
+                super().__init__()
+                workspaces.append(self)
+
+        monkeypatch.setattr(predictor, "_Workspace", Recorded)
+        monkeypatch.setattr(predictor, "_SPARSE_DENSITY", density)
+        outcomes = _fit_many(members)
+        monkeypatch.undo()
+        return outcomes, [work.arrays.get("grad_sums") for work in workspaces]
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_both_paths_train_the_same_bits(self, num_classes, hidden, monkeypatch):
+        # Three feature spaces (three blocks), members with l2 = 0, and one
+        # that diverges at epoch 1.
+        members = TestMixedLoops().members(num_classes, hidden)
+        assert any(m.hyper.l2 == 0 for m in members)
+        dense, dense_sums = self.fit_with(members, 0.0, monkeypatch)
+        sparse, sparse_sums = self.fit_with(members, math.inf, monkeypatch)
+        assert all(sums is None for sums in dense_sums)
+        (kept,) = [sums for sums in sparse_sums if sums is not None]
+        assert kept.size == sum(m.spec.dims for m in members) * (hidden or num_classes)
+        assert not kept.any()  # zeroed again after every step, the last included
+        for a, b in zip(dense, sparse):
+            if isinstance(a, TrainingDiverged):
+                assert isinstance(b, TrainingDiverged) and str(a) == str(b)
+                assert "epoch 1, batch offset 32" in str(a)
+                continue
+            assert list(a.params) == list(b.params)
+            for name in a.params:
+                assert a.params[name].tobytes() == b.params[name].tobytes(), name
+        assert sum(isinstance(o, TrainingDiverged) for o in sparse) == 1
 
 
 class TestGradients:
