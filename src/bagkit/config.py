@@ -34,6 +34,7 @@ val.jsonl, test.jsonl, and a task.json describing the label space:
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .dataset import load_jsonl
@@ -55,6 +56,15 @@ _MEMBER_FIELDS = {
 _FEATURE_FIELDS = field_kinds(FeatureSpec)
 _HYPER_FIELDS = field_kinds(Hyperparams)
 _TASK_FIELDS = {"num_classes": "int", "label_map": "dict", "metric": "str"}
+
+
+def _check_task_name(name: str, where: str) -> None:
+    """A task name is one directory name, a data directory's subdirectory and no other path."""
+    if name in ("", ".", "..") or {os.sep, os.altsep, "\0"} & set(name):
+        raise ConfigError(
+            f"{where}: task name {name!r} must be one directory name: "
+            "not empty, '.' or '..', and no path separator"
+        )
 
 
 def _parse_member(doc, where: str) -> MemberSpec:
@@ -89,6 +99,7 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[EnsembleConf
         check_object(entry, _CONFIG_FIELDS, where)
         for k, task in enumerate(entry["tasks"]):
             require(task, "str", f"{where}.tasks[{k}]")
+            _check_task_name(task, f"{where}.tasks[{k}]")
         members = tuple(
             _parse_member(m, f"{where}.members[{k}]") for k, m in enumerate(entry["members"])
         )
@@ -141,12 +152,16 @@ def load_task_dir(task_dir: str | Path) -> TaskData:
 
 
 def load_data_dir(data_dir: str | Path, tasks) -> dict[str, TaskData]:
-    """Load the named tasks from a data directory of task subdirectories."""
+    """Load the named tasks from a data directory of task subdirectories.
+
+    A task name that is not one directory name is a ConfigError.
+    """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory not found: {data_dir}")
     loaded: dict[str, TaskData] = {}
     for task in tasks:
+        _check_task_name(task, str(data_dir))
         task_dir = data_dir / task
         if not task_dir.is_dir():
             raise DataError(f"task directory not found: {task_dir}")

@@ -205,6 +205,9 @@ def _validate_structure(config: EnsembleConfig) -> None:
         )
     if not config.tasks:
         raise ConfigError(f"config {cid!r}: needs at least one task")
+    for k, task in enumerate(config.tasks):
+        if task in config.tasks[:k]:
+            raise ConfigError(f"config {cid!r}: duplicate task {task!r}")
     if not 0 <= config.base_seed < 2**64:
         raise ConfigError(
             f"config {cid!r}: base_seed must be in [0, 2**64), got {config.base_seed}"

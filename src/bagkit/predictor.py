@@ -269,9 +269,8 @@ class _Rows:
     (row r's entries are ``indptr[r]:indptr[r + 1]``), which a gather reads,
     and no per-entry row array: ``row`` derives each entry's row from the
     pointers when a product or a transpose needs it. A gather keeps the rows
-    it computes, and its own pointers unless it is a training step's (with
-    k). A transpose keeps its rows (the columns it swapped) but no pointers,
-    and gathering from either raises.
+    it computes and its cells, and a transpose its rows (the columns it
+    swapped); neither has pointers, and gathering from either raises.
     """
 
     def __init__(
@@ -298,25 +297,19 @@ class _Rows:
         cells = None if self.cells is None else (self.cells[1], self.cells[0], self.cells[2])
         return _Rows(self.data, self.row, self.shape[::-1], row=self.col, cells=cells)
 
-    def gather(
-        self, rows: np.ndarray, columns: np.ndarray | None = None, k: int | None = None,
-        work: _Workspace | None = None,
-    ) -> _Rows:
-        """The matrix's rows ``rows``, which hold an equal run of rows per member, in turn.
+    def gather(self, rows: np.ndarray, columns: np.ndarray, k: int, work: _Workspace) -> _Rows:
+        """A training step's batch: the matrix's rows ``rows``, an equal run of rows per member.
 
         ``columns`` are the members' column pointers: member m's columns of
         the result are ``columns[m]:columns[m + 1]``, so its columns are
         offset by ``columns[m]`` and one product with the members' weights
-        laid end to end, ``(columns[-1], k)``, serves them all. Without it
-        the rows are one member's, columns as they are. Each member's entries
-        keep their storage order. With ``k`` the result carries its k-wide
-        cells and no row pointers, which no step reads. Its data, columns and
-        cells are views of ``work``'s arrays (a fresh workspace's without
-        it), valid until the next gather into the same workspace.
+        laid end to end, ``(columns[-1], k)``, serves them all. Each member's
+        entries keep their storage order. The result carries its k-wide
+        cells; its data, columns and cells are views of ``work``'s arrays,
+        valid until the next gather into the same workspace.
         """
         if self.indptr is None:
             raise ValueError("rows can only be gathered from a matrix with row pointers")
-        work = _Workspace() if work is None else work
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         ends = counts.cumsum()
@@ -336,16 +329,11 @@ class _Rows:
         take += arange[:nnz]
         data = self.data.take(take, out=work("data", (nnz,)), mode="wrap")
         col = self.col.take(take, out=work("col", (nnz,), np.int64), mode="wrap")
-        width = self.shape[1]
-        if columns is not None:
-            width = int(columns[-1])
-            if len(columns) > 2:
-                # Each gathered row's offset, then each entry's, into the spent positions.
-                starts = columns[:-1].repeat(len(rows) // (len(columns) - 1))
-                col += starts.take(row, out=take, mode="wrap")
-        shape = (len(rows), width)
-        if k is None:
-            return _Rows(data, col, shape, np.concatenate(([0], ends)), row)
+        if len(columns) > 2:
+            # Each gathered row's offset, then each entry's, into the spent positions.
+            starts = columns[:-1].repeat(len(rows) // (len(columns) - 1))
+            col += starts.take(row, out=take, mode="wrap")
+        shape = (len(rows), int(columns[-1]))
         return _Rows(data, col, shape, row=row, cells=_cells(row, col, k, work))
 
     def _terms(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -589,39 +577,31 @@ def _loss_and_grads(
     labels: np.ndarray,
     num_classes: int,
     hidden_size: int,
-    l2: float | np.ndarray,
+    l2: np.ndarray,
     want_grads: bool = True,
     out: dict[str, np.ndarray] | None = None,
     blocks: list[tuple[slice, int]] | None = None,
     work: _Workspace | None = None,
-) -> tuple[float | np.ndarray, dict[str, np.ndarray] | None]:
+) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
     """Mean cross-entropy plus 0.5 * l2 * ||weights||^2, and its gradients, per member.
 
     The one forward and gradient implementation: it is the lockstep training
-    step, and with one member the finite-difference checks and training_loss,
-    so the analytic gradients checked are exactly what training uses. Stacked,
-    each params array holds M members' flat arrays as rows, ``x`` and
-    ``labels`` hold an equal batch per member, one member after another, ``l2``
-    has one value per member, and the loss and each gradient have one row per
-    member. A stack is ``(members, size)``, or, for the first-layer weights
-    of members of several feature spaces, flat: the `_rows` of ``blocks``
-    one after another. One member's flat arrays with a number ``l2`` give a
-    number loss and flat gradients. The gradients are written into ``out``
-    (arrays shaped like ``params``, returned) when given, and into new
-    arrays otherwise.
+    step, and, on a stack of one (`_one`), training_loss and the
+    finite-difference checks, so the analytic gradients checked are exactly
+    what training uses. Each params array holds M members' flat arrays as
+    rows, ``x`` and ``labels`` hold an equal batch per member, one member
+    after another, ``l2`` has one value per member, and the loss and each
+    gradient have one row per member. A stack is ``(members, size)``, or,
+    for the first-layer weights of members of several feature spaces, flat:
+    the `_rows` of ``blocks`` one after another. The gradients are written
+    into ``out`` (arrays shaped like ``params``, returned) when given, and
+    into new arrays otherwise.
 
     With ``work``, a training loop's workspace, a sparse batch adds the
     first-layer product ``x.T @ d`` only at its own cells, through a zero
     accumulator kept in ``work`` (see `_fit_many`); without it the
     zero-filled product is always added whole.
     """
-    if params["out_bias"].ndim == 1:
-        loss, grads = _loss_and_grads(
-            _one(params), x, labels, num_classes, hidden_size, np.array([l2]), want_grads,
-            None if out is None else _one(out), work=work,
-        )
-        return float(loss[0]), None if grads is None else {n: g[0] for n, g in grads.items()}
-
     hidden, logits = _forward(params, x, num_classes, hidden_size)
     members, batch = logits.shape[:2]
     probs = _softmax(logits).reshape(-1, num_classes)
@@ -683,14 +663,10 @@ def fit(train: Dataset, spec: FeatureSpec, hyper: Hyperparams) -> Model:
     reshuffled each epoch from the stream of ``hyper.seed``. Raises
     TrainingDiverged if the loss ever goes non-finite.
     """
-    return _fit_rows(_design_matrix(train, spec), train.labels(), train.num_classes, spec, hyper)
-
-
-def _fit_rows(
-    x: _Rows, y: np.ndarray, num_classes: int, spec: FeatureSpec, hyper: Hyperparams
-) -> Model:
-    """fit over design-matrix rows and their labels: `_fit_many` of one member on every row."""
-    (outcome,) = _fit_many([_Member(x, y, num_classes, spec, hyper, np.arange(x.shape[0]))])
+    x = _design_matrix(train, spec)
+    (outcome,) = _fit_many([
+        _Member(x, train.labels(), train.num_classes, spec, hyper, np.arange(x.shape[0]))
+    ])
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     return outcome
@@ -763,8 +739,11 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
     a workspace also kept for the call: the batch's entries and, built once
     per step, the index arrays both sparse products read (k is the hidden
     size, or the class count for logistic regression), so the storage-order
-    rule of `_Rows` holds for both. A member whose loss goes non-finite is
-    dropped with its error and the others go on.
+    rule of `_Rows` holds for both. A member whose loss goes non-finite gets
+    its error and keeps its rows in every stack, so every step has the first
+    step's layout: no sum mixes members (the products' cells, the softmax
+    rows, the per-member matmuls and norms), so its non-finite values reach
+    no other member. The loop returns once every member has diverged.
 
     The first-layer gradient is ``l2 * w + x.T @ d``. A step whose batch has
     fewer entries than `_SPARSE_DENSITY` times the stack's input columns
@@ -792,34 +771,33 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
             "lockstep members must share hidden size, epochs, row count and class count"
         )
     x, y, row_sets = _joined(members)
-    hypers = [m.hyper for m in members]
     # The members by feature space, so that each size is one block of the
-    # first-layer stack: member i of the loop is members[live[i]].
-    live = np.array(sorted(range(len(members)), key=lambda m: members[m].spec.dims))
-    rngs = np.array([np.random.default_rng(hypers[m].seed) for m in live], dtype=object)
-    dims = np.array([members[m].spec.dims for m in live])
+    # first-layer stack: member i of the loop is members[ranked[i]].
+    ranked = sorted(range(len(members)), key=lambda m: members[m].spec.dims)
+    hypers = [members[m].hyper for m in ranked]
+    rngs = [np.random.default_rng(hyper.seed) for hyper in hypers]
     work, width = _Workspace(), hidden or num_classes
-    columns, blocks = _layout(dims, width)
+    columns, blocks = _layout(np.array([members[m].spec.dims for m in ranked]), width)
     first_layer = "hidden_weight" if hidden else "out_weight"
     params = {
-        name: np.empty(columns[-1] * width if name == first_layer else (len(live), size))
+        name: np.empty(columns[-1] * width if name == first_layer else (len(members), size))
         for name, size in _expected_shapes(first.spec, hidden, num_classes).items()
     }
-    for i, (member, rng) in enumerate(zip(live, rngs)):
-        for name, arr in _init_params(members[member].spec, hypers[member], num_classes,
+    for i, (member, rng) in enumerate(zip(ranked, rngs)):
+        for name, arr in _init_params(members[member].spec, hypers[i], num_classes,
                                       rng).items():
             _own(params[name], i, columns, width)[...] = arr
     grads = {name: np.empty_like(arr) for name, arr in params.items()}
     order = np.empty((len(members), n), dtype=np.intp)  # each member's rows, this epoch
-    lr = np.array([[hypers[m].learning_rate] for m in live])
-    rates = _rates(grads, blocks, lr)
-    l2 = np.array([hypers[m].l2 for m in live])
+    lr = np.array([[hyper.learning_rate] for hyper in hypers])
+    rates = [(block, lr[rows]) for grad in grads.values() for rows, block in _rows(grad, blocks)]
+    l2 = np.array([hyper.l2 for hyper in hypers])
     outcomes: list[Model | TrainingDiverged | None] = [None] * len(members)
     # The step without its own errstate: _fit_many's holds for every step.
     step = getattr(_loss_and_grads, "__wrapped__", _loss_and_grads)
 
     for epoch in range(epochs):
-        for i, (member, rng) in enumerate(zip(live, rngs)):
+        for i, (member, rng) in enumerate(zip(ranked, rngs)):
             order[i] = row_sets[member][rng.permutation(n)]
         for start in range(0, n, _BATCH_SIZE):
             batch = order[:, start : start + _BATCH_SIZE].ravel()
@@ -830,53 +808,36 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
             finite = np.isfinite(loss)
             if not finite.all():
                 for i in np.flatnonzero(~finite):
-                    outcomes[live[i]] = TrainingDiverged(
-                        f"non-finite loss {loss[i]} at epoch {epoch}, batch offset {start} "
-                        f"(learning_rate={hypers[live[i]].learning_rate})"
-                    )
-                params = {name: _kept(arr, blocks, finite) for name, arr in params.items()}
-                grads = {name: _kept(arr, blocks, finite) for name, arr in grads.items()}
-                order, rngs, live, dims, lr, l2 = (
-                    a[finite] for a in (order, rngs, live, dims, lr, l2)
-                )
-                if not len(live):
+                    if outcomes[ranked[i]] is None:
+                        outcomes[ranked[i]] = TrainingDiverged(
+                            f"non-finite loss {loss[i]} at epoch {epoch}, batch offset {start} "
+                            f"(learning_rate={hypers[i].learning_rate})"
+                        )
+                if None not in outcomes:
                     return outcomes
-                columns, blocks = _layout(dims, width)
-                rates = _rates(grads, blocks, lr)
             # In place, so the update makes no parameter-sized temporaries.
             for block, rate in rates:
                 block *= rate
             for name, grad in grads.items():
                 params[name] -= grad
 
-    for i, member in enumerate(live):
+    for i, member in enumerate(ranked):
+        if outcomes[member] is not None:
+            continue
         arrays = {name: _own(arr, i, columns, width) for name, arr in params.items()}
         bad = [name for name, arr in arrays.items() if not np.all(np.isfinite(arr))]
         outcomes[member] = (
             TrainingDiverged(f"non-finite parameters in {bad[0]!r} after training")
             if bad
-            else Model(spec=members[member].spec, hyper=hypers[member], num_classes=num_classes,
+            else Model(spec=members[member].spec, hyper=hypers[i], num_classes=num_classes,
                        params=arrays)
         )
     return outcomes
 
 
-def _rates(
-    grads: dict[str, np.ndarray], blocks: list[tuple[slice, int]], lr: np.ndarray
-) -> list[tuple]:
-    """Each gradient block and its members' learning rates, ``(block members, 1)``."""
-    return [(block, lr[rows]) for grad in grads.values() for rows, block in _rows(grad, blocks)]
-
-
 def _own(stack: np.ndarray, i: int, columns: np.ndarray, width: int) -> np.ndarray:
     """Member i's flat array in ``stack``: its row, or its columns' rows of a flat first layer."""
     return stack[columns[i] * width : columns[i + 1] * width] if stack.ndim == 1 else stack[i]
-
-
-def _kept(stack: np.ndarray, blocks: list[tuple[slice, int]], keep: np.ndarray) -> np.ndarray:
-    """``stack`` with only the members ``keep`` marks, in the same layout."""
-    rows = [block[keep[members]] for members, block in _rows(stack, blocks)]
-    return rows[0] if stack.ndim == 2 else np.concatenate([block.ravel() for block in rows])
 
 
 def predict_proba(model: Model, example: Example) -> np.ndarray:
@@ -898,15 +859,15 @@ def training_loss(model: Model, dataset: Dataset) -> float:
     """Full-dataset training objective (cross-entropy + L2 term) for a model."""
     x = _design_matrix(dataset, model.spec)
     loss, _ = _loss_and_grads(
-        model.params,
+        _one(model.params),
         x,
         dataset.labels(),
         model.num_classes,
         model.hyper.hidden_size,
-        model.hyper.l2,
+        np.array([model.hyper.l2]),
         want_grads=False,
     )
-    return loss
+    return float(loss[0])
 
 
 def param_count(model: Model) -> int:

@@ -42,6 +42,14 @@ class Loop(NamedTuple):
     search: bool  # whether a grid search ran it
 
 
+def solo(member):
+    """A predictor._Member trained alone: `_fit_many` of one, its Model or its TrainingDiverged."""
+    from bagkit.predictor import _fit_many
+
+    (outcome,) = _fit_many([member])
+    return outcome
+
+
 def record_loops(monkeypatch):
     """Record, in order, each lockstep loop that experiment runs (a list of `Loop`)."""
     from bagkit import experiment

@@ -17,7 +17,7 @@ import numpy as np
 import bagkit as bk
 from bagkit.experiment import MemberSpec, equivalence_group, variance_analysis
 from bagkit.metrics import accuracy, macro_f1, mean_std
-from bagkit.predictor import _design_matrix, _init_params, _loss_and_grads
+from bagkit.predictor import _design_matrix, _init_params, _loss_and_grads, _one
 from bagkit.prune import prune_magnitude, PruneSpec
 from bagkit.toy import noisy_binary_task, synthetic_task, write_toy_workspace
 
@@ -216,7 +216,8 @@ def test_criterion_7_gradient_check():
     params = _init_params(spec, hyper, 2, np.random.default_rng(5))
     total = sum(p.size for p in params.values())
 
-    _, analytic = _loss_and_grads(params, x, y, 2, 0, 0.01)
+    l2 = np.array([0.01])
+    _, analytic = _loss_and_grads(_one(params), x, y, 2, 0, l2)
     h = 1e-6
     numeric = {}
     for name in params:
@@ -224,12 +225,12 @@ def test_criterion_7_gradient_check():
         for k in range(params[name].size):
             probe = {n: a.copy() for n, a in params.items()}
             probe[name][k] += h
-            lp, _ = _loss_and_grads(probe, x, y, 2, 0, 0.01, want_grads=False)
+            lp, _ = _loss_and_grads(_one(probe), x, y, 2, 0, l2, want_grads=False)
             probe[name][k] -= 2 * h
-            lm, _ = _loss_and_grads(probe, x, y, 2, 0, 0.01, want_grads=False)
-            g[k] = (lp - lm) / (2 * h)
+            lm, _ = _loss_and_grads(_one(probe), x, y, 2, 0, l2, want_grads=False)
+            g[k] = (lp[0] - lm[0]) / (2 * h)
         numeric[name] = g
-    ga = np.concatenate([analytic[n] for n in sorted(params)])
+    ga = np.concatenate([analytic[n][0] for n in sorted(params)])
     gf = np.concatenate([numeric[n] for n in sorted(params)])
     rel = float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf)))
     report(

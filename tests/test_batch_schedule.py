@@ -3,7 +3,7 @@
 Each case draws a tiny workspace and batch, runs ``bagkit run`` on it with
 ``--jobs 1`` and ``--jobs 2``, and compares the outputs, the FAILED lines
 and the exit code with a reference written here. The reference trains every
-grid-search candidate and every member on its own with `_fit_rows`, scores
+grid-search candidate and every member on its own (`solo`), scores
 the candidates, prunes and votes per configuration, and shares nothing
 across configurations. When the batch ends, no trained model may still be
 held.
@@ -28,10 +28,11 @@ from bagkit.ensemble import Ensemble, predict_dataset
 from bagkit.errors import BagkitError, TrainingDiverged
 from bagkit.experiment import CONFIG_TYPE_LABELS, ConfigResult, sampling_manifest, write_report
 from bagkit.metrics import evaluate
-from bagkit.predictor import Model, _design_matrix, _fit_rows, param_count, predict_proba_dataset
+from bagkit.predictor import Model, _design_matrix, _Member, param_count, predict_proba_dataset
 from bagkit.prune import PruneSpec, prune_magnitude
 from bagkit.resample import _task_seed, bootstrap, derive_seed
 from bagkit.toy import _dump_jsonl, synthetic_task
+from conftest import solo
 
 CASES = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 
@@ -151,9 +152,8 @@ def winner(task, member):
     x, y = _design_matrix(task.train, spec), task.train.labels()
     best = None
     for candidate in SEARCH[member.model_kind]:
-        try:
-            model = _fit_rows(x, y, task.train.num_classes, spec, candidate)
-        except TrainingDiverged:
+        model = solo(_Member(x, y, task.train.num_classes, spec, candidate, np.arange(len(y))))
+        if isinstance(model, TrainingDiverged):
             continue
         preds = np.argmax(predict_proba_dataset(model, task.val), axis=1)
         score = evaluate(preds, task.val.labels(), task.val.num_classes).metric(task.metric)
@@ -175,12 +175,12 @@ def alone(config, data) -> ConfigResult:
         for k, (member, hyper) in enumerate(zip(config.members, hypers)):
             seed = derive_seed(task_seed, 1, k) if member.bagged else derive_seed(task_seed, 0, 0)
             rows = np.array(bootstrap(n, seed).indices) if member.bagged else np.arange(n)
-            x = _design_matrix(task.train, member.feature_spec).gather(rows)
-            try:
-                model = _fit_rows(x, task.train.labels()[rows], task.train.num_classes,
-                                  member.feature_spec, replace(hyper, seed=seed))
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"config {cid!r}, task {task_name!r}, member {k}: {exc}")
+            model = solo(_Member(
+                _design_matrix(task.train, member.feature_spec), task.train.labels(),
+                task.train.num_classes, member.feature_spec, replace(hyper, seed=seed), rows,
+            ))
+            if isinstance(model, TrainingDiverged):
+                raise TrainingDiverged(f"config {cid!r}, task {task_name!r}, member {k}: {model}")
             if member.prune_fraction > 0:
                 model = prune_magnitude(model, PruneSpec(member.prune_fraction))
             models.append(model)

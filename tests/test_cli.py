@@ -545,6 +545,10 @@ def _write_task_dir(data_dir, **meta):
         ({}, {"base_seed": True}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": -5}, None, EXIT_VALIDATION, "configs[0]: config 'c1': base_seed"),
         ({}, {"base_seed": 2**64}, None, EXIT_VALIDATION, "configs[0]: config 'c1': base_seed"),
+        ({}, {"tasks": ["t", "u", "t"]}, None, EXIT_VALIDATION,
+         "configs[0]: config 'c1': duplicate task 't'"),
+        ({}, {"tasks": ["t", "../data/t"]}, None, EXIT_VALIDATION,
+         "configs[0].tasks[1]: task name '../data/t' must be one directory name"),
         (None, None, {"num_classes": "two"}, EXIT_IO, "num_classes"),
         (None, None, {"num_classes": 2.0}, EXIT_IO, "num_classes"),
         (None, None, {"label_map": {"no": 0, "yes": "one"}}, EXIT_IO, "label_map['yes']"),
@@ -557,7 +561,8 @@ def _write_task_dir(data_dir, **meta):
     ids=[
         "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
         "ngram-float", "epochs-float", "epochs-zero", "learning-rate-nan", "l2-infinity",
-        "seed-float", "seed-bool", "seed-negative", "seed-too-large", "classes-string",
+        "seed-float", "seed-bool", "seed-negative", "seed-too-large", "task-duplicate",
+        "task-path", "classes-string",
         "classes-float", "label-index-string", "label-map-list", "metric-unknown", "classes-one",
         "label-index-range", "classes-unreachable",
     ],
@@ -579,6 +584,17 @@ def test_wrong_json_types_are_located_errors(
     assert code == expected_code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and located in err
+
+
+@pytest.mark.parametrize("task", ["../data/topics2", "topics2/", "..", ".", ""])
+def test_variance_task_is_one_directory_name(toy_workspace, tmp_path, capsys, task):
+    """--task names a subdirectory of --data, not a path: exit 3, and nothing is written."""
+    code = run_cli("variance", "--task", task, "--data", toy_workspace / "data",
+                   "--out", tmp_path / "out", "--n", 2, "--m", 1)
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"task name {task!r} must be one directory name" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["configs.json", "task.json", "train.jsonl", "results.csv"])

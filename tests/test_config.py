@@ -116,6 +116,10 @@ class TestTaskDirs:
         with pytest.raises(DataError, match="ghost"):
             load_data_dir(toy_workspace / "data", ["ghost"])
 
+    def test_task_name_is_one_directory_name(self, toy_workspace):
+        with pytest.raises(ConfigError, match="task name '../data/topics2'"):
+            load_data_dir(toy_workspace / "data", ["topics2", "../data/topics2"])
+
     def test_missing_metadata(self, tmp_path):
         (tmp_path / "task").mkdir()
         with pytest.raises(DataError, match="task.json"):

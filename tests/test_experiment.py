@@ -28,7 +28,7 @@ from bagkit.predictor import (
     FeatureSpec,
     Hyperparams,
     _design_matrix,
-    _fit_rows,
+    _Member,
     fit,
     param_count,
     predict_proba_dataset,
@@ -36,7 +36,7 @@ from bagkit.predictor import (
 from bagkit.prune import PruneSpec, prune_magnitude
 from bagkit.resample import _task_seed, bootstrap, derive_seed, materialize
 from bagkit.toy import synthetic_task
-from conftest import record_loops
+from conftest import record_loops, solo
 
 SPEC = FeatureSpec(dims=256)
 
@@ -256,7 +256,7 @@ class TestRunConfig:
 
 
 class TestRowGatherTraining:
-    """Training on gathered design-matrix rows equals fit on materialized datasets."""
+    """Training on a sample's design-matrix rows equals fit on the materialized sample."""
 
     HYPERS = [Hyperparams(epochs=3, seed=5), Hyperparams(epochs=3, hidden_size=4, seed=6)]
 
@@ -274,20 +274,18 @@ class TestRowGatherTraining:
         assert len(set(sample.indices)) < len(train)  # rows drawn more than once
         rows = np.array(sample.indices)
         x, y = _design_matrix(train, SPEC), train.labels()
-        gathered = _fit_rows(x.gather(rows), y[rows], train.num_classes, SPEC, hyper)
-        self.assert_same_params(gathered, fit(materialize(train, sample), SPEC, hyper))
+        sampled = solo(_Member(x, y, train.num_classes, SPEC, hyper, rows))
+        self.assert_same_params(sampled, fit(materialize(train, sample), SPEC, hyper))
 
     @pytest.mark.parametrize("hyper", HYPERS, ids=["logreg", "mlp"])
     def test_composed_second_level_sample(self, task_acc, hyper):
         train = task_acc.train
         first, second = bootstrap(len(train), 21), bootstrap(len(train), 22)
         x, y = _design_matrix(train, SPEC), train.labels()
-        rows = np.array(first.indices)
-        first_rows, first_y = x.gather(rows), y[rows]
-        rows = np.array(second.indices)
-        gathered = _fit_rows(first_rows.gather(rows), first_y[rows], train.num_classes, SPEC, hyper)
+        rows = np.array(first.indices)[np.array(second.indices)]
+        composed = solo(_Member(x, y, train.num_classes, SPEC, hyper, rows))
         replayed = fit(materialize(materialize(train, first), second), SPEC, hyper)
-        self.assert_same_params(gathered, replayed)
+        self.assert_same_params(composed, replayed)
 
     @pytest.mark.parametrize("hyper", HYPERS, ids=["logreg", "mlp"])
     def test_train_composes_the_whole_chain(self, task_acc, hyper):
@@ -540,10 +538,9 @@ class TestWidthRule:
                                  lambda consumer, models: outcomes.extend(models))
         assert [len(loop.members) for loop in loops] == [2, 2, 1, 2]  # epochs 3: 5; 30: 2
         for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
-            try:
-                alone = _fit_rows(x.gather(rows), y[rows], 2, SPEC, hyper)
-            except TrainingDiverged as exc:
-                assert str(outcome) == str(exc)
+            alone = solo(_Member(x, y, 2, SPEC, hyper, rows))
+            if isinstance(alone, TrainingDiverged):
+                assert str(outcome) == str(alone)
                 continue
             assert outcome.hyper == hyper
             for name in alone.params:

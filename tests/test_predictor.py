@@ -14,8 +14,8 @@ from bagkit.predictor import (
     Hyperparams,
     Model,
     _design_matrix,
+    _expected_shapes,
     _fit_many,
-    _fit_rows,
     _forward,
     _init_params,
     _loss_and_grads,
@@ -35,6 +35,7 @@ from bagkit.predictor import (
 from bagkit.experiment import grid_search
 from bagkit.resample import bootstrap
 from bagkit.toy import synthetic_task
+from conftest import solo
 
 
 def lockstep(x, y, num_classes, spec, hypers, row_sets):
@@ -42,6 +43,11 @@ def lockstep(x, y, num_classes, spec, hypers, row_sets):
     return _fit_many(
         [_Member(x, y, num_classes, spec, hyper, rows) for hyper, rows in zip(hypers, row_sets)]
     )
+
+
+def step_batch(x, batch, k):
+    """One member's training-step gather of rows ``batch``: columns as they are, k-wide cells."""
+    return x.gather(batch, np.array([0, x.shape[1]]), k, _Workspace())
 
 
 def grad_dataset():
@@ -158,17 +164,18 @@ class TestFit:
         spec, hyper = FeatureSpec(dims=256), Hyperparams(epochs=3, hidden_size=hidden, seed=4)
         x, y = _design_matrix(td.train, spec), td.train.labels()
         rng = np.random.default_rng(hyper.seed)
-        params = _init_params(spec, hyper, 2, rng)
+        params = _one(_init_params(spec, hyper, 2, rng))
         for _ in range(hyper.epochs):
             perm = rng.permutation(len(td.train))
             for start in range(0, len(td.train), 32):
                 batch = perm[start : start + 32]
-                _, grads = _loss_and_grads(params, x.gather(batch), y[batch], 2, hidden, hyper.l2)
+                _, grads = _loss_and_grads(params, step_batch(x, batch, hidden or 2), y[batch], 2,
+                                           hidden, np.array([hyper.l2]))
                 for name, grad in grads.items():
                     params[name] = params[name] - hyper.learning_rate * grad
         model = fit(td.train, spec, hyper)
         for name in params:
-            assert np.array_equal(model.params[name], params[name]), name
+            assert np.array_equal(model.params[name], params[name][0]), name
 
     def test_empty_dataset_rejected(self):
         empty = Dataset("none", (), 2)
@@ -196,17 +203,18 @@ class TestFit:
 def reference_fit(x, y, spec, hyper, rows):
     """One member trained alone, batch by batch through _loss_and_grads on its own rows."""
     rng = np.random.default_rng(hyper.seed)
-    params = _init_params(spec, hyper, 2, rng)
+    params = _one(_init_params(spec, hyper, 2, rng))
     for _ in range(hyper.epochs):
         order = rows[rng.permutation(len(rows))]
         for start in range(0, len(rows), 32):
             batch = order[start : start + 32]
             _, grads = _loss_and_grads(
-                params, x.gather(batch), y[batch], 2, hyper.hidden_size, hyper.l2
+                params, step_batch(x, batch, hyper.hidden_size or 2), y[batch], 2,
+                hyper.hidden_size, np.array([hyper.l2]),
             )
             for name, grad in grads.items():
                 params[name] = params[name] - hyper.learning_rate * grad
-    return params
+    return {name: arr[0] for name, arr in params.items()}
 
 
 class TestLockstep:
@@ -246,11 +254,10 @@ class TestLockstep:
         x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
         outcomes = lockstep(x, y, 2, self.SPEC, hypers, row_sets)
         for outcome, hyper, rows in zip(outcomes, hypers, row_sets):
-            try:
-                alone = _fit_rows(x.gather(rows), y[rows], 2, self.SPEC, hyper)
-            except TrainingDiverged as exc:
+            alone = solo(_Member(x, y, 2, self.SPEC, hyper, rows))
+            if isinstance(alone, TrainingDiverged):
                 assert isinstance(outcome, TrainingDiverged)
-                assert str(outcome) == str(exc)
+                assert str(outcome) == str(alone)
                 continue
             for name in alone.params:
                 assert np.array_equal(outcome.params[name], alone.params[name]), name
@@ -283,9 +290,8 @@ class TestLockstep:
         x_val, y_val = _design_matrix(td.val, self.SPEC), td.val.labels()
         best, best_score, diverged = None, -1.0, []
         for hyper in space:
-            try:
-                model = _fit_rows(x, y, 2, self.SPEC, hyper)
-            except TrainingDiverged:
+            model = solo(_Member(x, y, 2, self.SPEC, hyper, np.arange(len(y))))
+            if isinstance(model, TrainingDiverged):
                 diverged.append(hyper)
                 continue
             _, logits = _forward(_one(model.params), x_val, 2, hyper.hidden_size)
@@ -405,7 +411,7 @@ class TestDesignMatrix:
         rng = np.random.default_rng(4)
         w = rng.normal(size=(self.SPEC.dims, 2))
         d = rng.normal(size=(len(pick), 2))
-        batch = _design_matrix(exs, self.SPEC).gather(pick)
+        batch = step_batch(_design_matrix(exs, self.SPEC), pick, 2)
         assert batch.shape == (len(pick), self.SPEC.dims)
         assert np.array_equal(batch @ w, _storage_order_products(rows, w))
         assert np.array_equal(batch.T @ d, _storage_order_transposed(rows, d, self.SPEC.dims))
@@ -418,7 +424,7 @@ class TestDesignMatrix:
         rng = np.random.default_rng(k)
         w = rng.normal(size=(self.SPEC.dims, k))
         x = _design_matrix(exs, self.SPEC)
-        for matrix, picked in ((x, rows), (x.gather(pick), [rows[i] for i in pick])):
+        for matrix, picked in ((x, rows), (step_batch(x, pick, k), [rows[i] for i in pick])):
             d = rng.normal(size=(len(picked), k))
             assert np.array_equal(matrix @ w, _storage_order_products(picked, w))
             assert np.array_equal(
@@ -441,20 +447,26 @@ class TestDesignMatrix:
         w = rng.normal(size=(columns[-1], k))
         d = rng.normal(size=(len(pick), k))
         matrix = _design_matrix(exs, self.SPEC)
-        # A step's gather: into a workspace a longer and a shorter gather used before.
+        # A step's gather into a fresh workspace, and into one that a longer
+        # and a shorter gather used before.
         work = _Workspace()
         for before in (np.arange(len(exs)).repeat(3), pick[:2]):
-            matrix.gather(before, None, k, work)
-        for x in (matrix.gather(pick, columns), matrix.gather(pick, columns, k, work)):
+            matrix.gather(before, columns[:2], k, work)
+        for x in (matrix.gather(pick, columns, k, _Workspace()),
+                  matrix.gather(pick, columns, k, work)):
             assert x.shape == (len(pick), columns[-1])
             assert np.array_equal(x @ w, _storage_order_products(rows, w))
             assert np.array_equal(x.T @ d, _storage_order_transposed(rows, d, columns[-1]))
 
     def test_gather_needs_row_pointers(self):
+        # Only a design matrix has them: neither its transpose nor a step's batch.
         x = _design_matrix(self.examples(), self.SPEC)
         assert np.array_equal(x.indptr, x.row.searchsorted(np.arange(x.shape[0] + 1)))
-        with pytest.raises(ValueError, match="row pointers"):
-            x.T.gather(np.array([0, 1]))
+        rows = np.array([0, 1])
+        for matrix in (x.T, step_batch(x, rows, 2)):
+            assert matrix.indptr is None
+            with pytest.raises(ValueError, match="row pointers"):
+                step_batch(matrix, rows, 2)
 
 
 # The per-example featurization that `_design_matrix` replaced, kept unchanged
@@ -660,7 +672,8 @@ class TestGradientBuffers:
         l2 = np.array([1e-4, 1e-2])
         cases = (
             (stacked, x.gather(batch, np.array([0, 64, 128]), 2, _Workspace()), y[batch], l2),
-            ({n: a[0] for n, a in stacked.items()}, x.gather(batch), y[batch], 1e-3),
+            (_one({n: a[0] for n, a in stacked.items()}), step_batch(x, batch, hidden or 2),
+             y[batch], np.array([1e-3])),
         )
         for params, rows, labels, reg in cases:
             loss, grads = _loss_and_grads(params, rows, labels, 2, hidden, reg)
@@ -693,8 +706,11 @@ class TestGradientBuffers:
         ]
         outcomes = lockstep(x, y, 2, self.SPEC, hypers, [np.arange(len(td.train))] * 3)
         assert isinstance(outcomes[1], TrainingDiverged)
+        # One pair for the three members at every step, 30 epochs of 2 batches,
+        # the diverged member's rows kept after it diverged.
         kept = {id(arr): arr for out in buffers for arr in out.values()}
-        assert len(kept) == 4  # one pair for the three members, one after the drop
+        assert len(buffers) == 60 and len(kept) == 2
+        assert {arr.shape for arr in kept.values()} == {(3 * 64 * 2,), (3, 2)}
         for model in (outcomes[0], outcomes[2]):
             for arr in model.params.values():
                 assert not any(np.shares_memory(arr, buf) for buf in kept.values())
@@ -839,58 +855,69 @@ class TestMixedLoops:
         return members
 
     def stacks(self, monkeypatch):
-        """The stacked parameters of each step `_fit_many` takes, latest last."""
+        """Each step's stacked parameter shapes, and the stacks, as `_fit_many` steps them."""
         from bagkit import predictor
 
-        seen = []
+        shapes, stacks = [], {}
         real = predictor._loss_and_grads
 
         def spy(params, *args, **kwargs):
-            seen.append(params)
+            shapes.append({name: arr.shape for name, arr in params.items()})
+            stacks.update(params)
             return real(params, *args, **kwargs)
 
         monkeypatch.setattr(predictor, "_loss_and_grads", spy)
-        return seen
+        return shapes, stacks
+
+    def assert_solo(self, outcomes, members):
+        """Each outcome is its member's solo fit: parameter bytes or divergence text."""
+        for outcome, m in zip(outcomes, members):
+            alone = solo(m)
+            if isinstance(alone, TrainingDiverged):
+                assert str(outcome) == str(alone)
+                continue
+            assert outcome.spec == m.spec and outcome.hyper == m.hyper
+            assert list(outcome.params) == list(alone.params)
+            for name in alone.params:
+                assert outcome.params[name].tobytes() == alone.params[name].tobytes(), name
+
+    def assert_one_layout(self, shapes, members, width):
+        """Every step stacks every member, diverged or not, at the first step's shapes."""
+        assert all(step == shapes[0] for step in shapes)
+        first = "hidden_weight" if "hidden_weight" in shapes[0] else "out_weight"
+        assert shapes[0][first] == (sum(m.spec.dims for m in members) * width,)
+        assert all(shapes[0][name][0] == len(members) for name in shapes[0] if name != first)
 
     @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_members_equal_solo_fits(self, num_classes, hidden, monkeypatch):
         members = self.members(num_classes, hidden)
         assert len({id(m.x) for m in members}) == 5 and len({m.spec for m in members}) == 3
-        seen = self.stacks(monkeypatch)
+        shapes, stacks = self.stacks(monkeypatch)
         outcomes = _fit_many(members)
         monkeypatch.undo()
-        for outcome, m in zip(outcomes, members):
-            try:
-                alone = _fit_rows(m.x.gather(m.rows), m.y[m.rows], num_classes, m.spec, m.hyper)
-            except TrainingDiverged as exc:
-                assert str(outcome) == str(exc)
-                assert "epoch 1, batch offset 32" in str(exc)
-                continue
-            assert outcome.spec == m.spec and outcome.hyper == m.hyper
-            assert list(outcome.params) == list(alone.params)
-            for name in alone.params:
-                assert np.array_equal(outcome.params[name], alone.params[name]), name
-        assert sum(isinstance(o, TrainingDiverged) for o in outcomes) == 1
-        # Each stack holds exactly the live members' parameters, the members
-        # in order of feature space, and no model shares memory with a stack.
-        stacks = seen[-1]
-        live = [model for model in outcomes if not isinstance(model, TrainingDiverged)]
-        by_size = sorted(live, key=lambda model: model.spec.dims)
+        self.assert_solo(outcomes, members)
+        (diverged,) = [o for o in outcomes if isinstance(o, TrainingDiverged)]
+        assert "epoch 1, batch offset 32" in str(diverged)
+        assert len(shapes) == 3 * 3  # 75 rows in batches of 32, three epochs
+        self.assert_one_layout(shapes, members, hidden or num_classes)
+        # The stacks hold the members in order of feature space: each live
+        # member's part is its model's parameters, and no model shares memory
+        # with a stack.
+        by_size = sorted(zip(members, outcomes), key=lambda pair: pair[0].spec.dims)
         for name, stack in stacks.items():
-            assert np.array_equal(
-                stack.reshape(-1), np.concatenate([model.params[name] for model in by_size])
-            ), name
-            for model in live:
+            sizes = [_expected_shapes(m.spec, hidden, num_classes)[name] for m, _ in by_size]
+            parts = np.split(stack.reshape(-1), np.cumsum(sizes)[:-1])
+            for (_, model), part in zip(by_size, parts):
+                if isinstance(model, TrainingDiverged):
+                    continue
+                assert part.tobytes() == model.params[name].tobytes(), name
                 assert not np.shares_memory(model.params[name], stack)
-        first = "out_weight" if hidden == 0 else "hidden_weight"
-        assert stacks[first].shape == (sum(m.spec.dims for m in live) * (hidden or num_classes),)
-        assert all(stacks[name].shape[0] == len(live) for name in stacks if name != first)
 
     @pytest.mark.parametrize("hidden", [0, 3], ids=["logreg", "mlp"])
-    def test_a_block_emptied_by_divergence(self, hidden):
+    def test_a_block_emptied_by_divergence(self, hidden, monkeypatch):
         # Both members of the smallest feature space, the stack's first
-        # block, diverge: the stack drops that block and the others go on.
+        # block, diverge: the stack keeps that block and the others go on.
         task = synthetic_task("blocks", seed=5, n_train=70, n_val=10, n_test=10)
         y = task.train.labels()
         members = []
@@ -900,16 +927,34 @@ class TestMixedLoops:
             hyper = Hyperparams(learning_rate=lr, l2=l2, epochs=4, hidden_size=hidden, seed=seed)
             rows = np.array(bootstrap(70, 40 + seed).indices)
             members.append(_Member(_design_matrix(task.train, spec), y, 2, spec, hyper, rows))
+        shapes, _ = self.stacks(monkeypatch)
         outcomes = _fit_many(members)
-        for outcome, m in zip(outcomes, members):
-            try:
-                alone = _fit_rows(m.x.gather(m.rows), m.y[m.rows], 2, m.spec, m.hyper)
-            except TrainingDiverged as exc:
-                assert m.spec.dims == 8 and str(outcome) == str(exc)
-                continue
-            for name in alone.params:
-                assert np.array_equal(outcome.params[name], alone.params[name]), name
+        monkeypatch.undo()
+        self.assert_solo(outcomes, members)
         assert [isinstance(o, TrainingDiverged) for o in outcomes] == [False, True, False] * 2
+        assert len(shapes) == 4 * 3  # 70 rows in batches of 32, four epochs
+        self.assert_one_layout(shapes, members, hidden or 2)
+
+    def test_every_member_diverged_ends_the_loop(self, monkeypatch):
+        # Once no member is left to train, the loop returns at that step.
+        task = synthetic_task("blocks", seed=5, n_train=70, n_val=10, n_test=10)
+        members = [
+            _Member(_design_matrix(task.train, spec), task.train.labels(), 2, spec,
+                    Hyperparams(learning_rate=lr, l2=1.0, epochs=4, seed=seed),
+                    np.array(bootstrap(70, 40 + seed).indices))
+            for seed, (spec, lr) in enumerate(
+                ((FeatureSpec(dims=8), 1e40), (FeatureSpec(dims=64), 1e30))
+            )
+        ]
+        shapes, _ = self.stacks(monkeypatch)
+        outcomes = _fit_many(members)
+        steps, solo_steps = len(shapes), []
+        for outcome, m in zip(outcomes, members):
+            shapes.clear()
+            alone = solo(m)
+            assert isinstance(alone, TrainingDiverged) and str(outcome) == str(alone)
+            solo_steps.append(len(shapes))
+        assert steps == max(solo_steps) < 4 * 3
 
     def test_members_must_share_class_count(self):
         two, three = (self.members(k, 0)[:1] for k in (2, 3))
@@ -969,10 +1014,12 @@ class TestGradients:
             for k in range(params[name].size):
                 probe = {n: a.copy() for n, a in params.items()}
                 probe[name][k] += h
-                lp, _ = _loss_and_grads(probe, x, y, num_classes, hidden, l2, want_grads=False)
+                lp, _ = _loss_and_grads(_one(probe), x, y, num_classes, hidden, np.array([l2]),
+                                        want_grads=False)
                 probe[name][k] -= 2 * h
-                lm, _ = _loss_and_grads(probe, x, y, num_classes, hidden, l2, want_grads=False)
-                g[k] = (lp - lm) / (2 * h)
+                lm, _ = _loss_and_grads(_one(probe), x, y, num_classes, hidden, np.array([l2]),
+                                        want_grads=False)
+                g[k] = (lp[0] - lm[0]) / (2 * h)
             out[name] = g
         return out
 
@@ -989,9 +1036,9 @@ class TestGradients:
         params = _init_params(spec, hyper, 2, np.random.default_rng(5))
         assert sum(p.size for p in params.values()) == expected_params
 
-        _, analytic = _loss_and_grads(params, x, y, 2, hidden, l2)
+        _, analytic = _loss_and_grads(_one(params), x, y, 2, hidden, np.array([l2]))
         numeric = self._finite_diff(params, x, y, 2, hidden, l2)
-        ga = np.concatenate([analytic[n] for n in sorted(params)])
+        ga = np.concatenate([analytic[n][0] for n in sorted(params)])
         gf = np.concatenate([numeric[n] for n in sorted(params)])
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf))
         assert rel < 1e-4
