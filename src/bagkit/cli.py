@@ -255,6 +255,9 @@ def main(argv=None) -> int:
     except BagkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_OTHER
 
 
 if __name__ == "__main__":

@@ -20,30 +20,32 @@ scoring step (a grid search, a configuration on a task, or a variance
 sample) and reads fits: a task, feature space, hyperparameters (seed
 included) and chain of bootstrap samples, so members that agree on all four
 read one model. The planner (`_schedule`) walks the consumers in order and
-lists lockstep loops: a consumer's fits that no loop trains yet start loops
-by the width rule (`_loops`), and later consumers of its task put their fits
-into those loops, those of one loop all together or none (`_joins`). The
-executor (`_run_schedule`) trains the loops in order, scores each consumer
-once its fits are held, and drops each fit at its last use. A batch runs
-its grid searches first, in one `_search`, since members take their
-hyperparameters from the winners; `run_config` is a batch of one.
+lists lockstep loops by one placement rule: a consumer's fits that no loop
+trains yet go one at a time into the first of its new loops with their key
+and room, or open one, and each later consumer of its task puts its
+unplaced fits of one key, all together, into the first of those loops with
+room, or keeps them for its own turn. The executor (`_run_schedule`) trains
+the loops in order, scores each consumer once its fits are held, and drops
+each fit at its last use. A batch runs its grid searches first, in one
+`_search`, since members take their hyperparameters from the winners;
+`run_config` is a batch of one.
 
 Every score is one soft vote (`_evaluate`) on a split's cached design
 matrices: a search candidate votes alone on the validation split, and a
 configuration's members, a variance sample's single model and its ensemble
 each vote on the test split. A vote of one model is its argmax.
 
-Members that share hidden size, epochs, row count and class count may share
-a loop (`predictor._fit_many`), whatever their feature spaces or tasks; the
-loop stacks each member at its own size. A loop stacks at most
-`_MAX_GROUP_PARAMS` parameters, so a larger group is split and a member
-larger than the cap trains alone. A member trained in a loop is
-bit-identical to the same member trained alone.
+Members that share hidden size, epochs, row count and class count (their
+key, `predictor._lockstep_key`) may share a loop (`predictor._fit_many`),
+whatever their feature spaces or tasks; the loop stacks each member at its
+own size. A loop stacks at most `_MAX_GROUP_PARAMS` parameters, so a larger
+group is split, and a member larger than the cap trains alone. A member
+trained in a loop is bit-identical to the same member trained alone.
 
 The variance protocol compares, per first-level bootstrap sample, one single
 model against one ensemble whose members were trained on second-level
 resamples of that same first-level sample. Each sample's single model and m
-members share a loop with as many other samples as the width rule allows.
+members share a loop with as many other samples as the cap allows.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .predictor import (
     _expected_shapes,
     _fit_many,
     _forward_proba,
+    _lockstep_key,
     _Member,
     _Rows,
     param_count,
@@ -125,12 +128,12 @@ DEFAULT_SEARCH_SPACE = {
 }
 
 # The most parameters a lockstep loop stacks, counted member by member at
-# each one's real size, before it is split; a member larger than this trains
-# alone. At 2^18 the 60 logreg-256 fits of a variance run are one loop, an
-# MLP 1024x16 variance run with m = 10 keeps its loops of 11, and an 8192x32
-# MLP trains one member per loop. Without a cap, that MLP run (n = 20) trains
-# its 220 members in one loop: peak memory went from 46 to 162 MB, and the
-# run took 1.4 times as long.
+# each one's real size: the planner puts fits into a loop only while it stays
+# within this, so a member larger than this trains alone. At 2^18 the 60
+# logreg-256 fits of a variance run are one loop, an MLP 1024x16 variance run
+# with m = 10 keeps its loops of 11, and an 8192x32 MLP trains one member per
+# loop. Without a cap, that MLP run (n = 20) trains its 220 members in one
+# loop: peak memory went from 46 to 162 MB, and the run took 1.4 times as long.
 _MAX_GROUP_PARAMS = 2**18
 
 
@@ -436,73 +439,54 @@ def _batch_winners(configs, data: dict[str, TaskData]) -> dict:
 
 def _shape(spec: FeatureSpec, hyper: Hyperparams, rows: int, num_classes: int) -> tuple:
     """A member's lockstep key (the loops it may join) and its parameter count."""
-    key = (hyper.hidden_size, hyper.epochs, rows, num_classes)
-    return key, sum(_expected_shapes(spec, hyper.hidden_size, num_classes).values())
-
-
-def _loops(shapes) -> list[list]:
-    """The width rule: the lockstep loops of members, ``[key, params, indices into shapes]`` each.
-
-    ``shapes`` holds each member's `_shape`, and ``params`` is the sum of
-    the loop's members' parameter counts. Members share a loop only under
-    one key. Within a key, the members of one size train together, in loops
-    of ``_MAX_GROUP_PARAMS // size`` members (at least one). Sizes go
-    largest first, and the members of a size join the loop before them if
-    `_joins` allows.
-    """
-    by_key: dict = {}
-    for i, (key, size) in enumerate(shapes):
-        by_key.setdefault(key, {}).setdefault(size, []).append(i)
-    loops: list[list] = []  # [key, params, member indices]
-    for key, sizes in by_key.items():
-        for size in sorted(sizes, reverse=True):
-            group = sizes[size]
-            if loops and loops[-1][0] == key and _joins(loops[-1], [size] * len(group)):
-                loops[-1][1] += size * len(group)
-                loops[-1][2] += group
-                continue
-            per = max(1, _MAX_GROUP_PARAMS // size)
-            for at in range(0, len(group), per):
-                chunk = group[at : at + per]
-                loops.append([key, size * len(chunk), chunk])
-    return loops
-
-
-def _joins(loop: list, sizes: list[int]) -> bool:
-    """Whether members of ``sizes`` parameters may join a ``[key, params, members]`` loop together.
-
-    They may if the loop then stacks at most `_MAX_GROUP_PARAMS` parameters.
-    """
-    return loop[1] + sum(sizes) <= _MAX_GROUP_PARAMS
+    params = sum(_expected_shapes(spec, hyper.hidden_size, num_classes).values())
+    return _lockstep_key(hyper, rows, num_classes), params
 
 
 def _schedule(consumers, data: dict[str, TaskData]) -> list[list[_Fit]]:
     """The planner: the lockstep loops that train every fit the consumers read, in running order.
 
-    Nothing trains. Walking the consumers in order, the fits of one that no
-    loop trains yet start loops (`_loops`); then each later consumer of its
-    task puts its unplaced fits of a new loop's key into it, all or none
-    (`_joins`). So a loop runs before the first consumer that reads it.
+    Nothing trains. Walking the consumers in order, a consumer's fits that no
+    loop trains yet go one at a time, by key in first-seen order and then
+    largest first, into the first of its new loops that has their key and
+    stays within `_MAX_GROUP_PARAMS` parameters, or open a loop. Then each
+    later consumer of its task puts its unplaced fits of one key, all
+    together, into the first of those loops with room, or leaves them
+    unplaced; it opens none. So a loop runs before the first consumer that
+    reads it.
     """
     trains = {fit: data[fit.task].train for consumer in consumers for fit in consumer.fits}
     shapes = {fit: _shape(fit.spec, fit.hyper, len(t), t.num_classes) for fit, t in trains.items()}
     placed: set[_Fit] = set()
     plan = []
+
+    def place(loops: list[list], fits: list[_Fit]) -> bool:
+        """Put fits of one key into the first of ``loops`` with their key and room, if any."""
+        key, size = shapes[fits[0]][0], sum(shapes[fit][1] for fit in fits)
+        for loop in loops:
+            if loop[0] == key and loop[1] + size <= _MAX_GROUP_PARAMS:
+                loop[1] += size
+                loop[2] += fits
+                return True
+        return False
+
     for at, consumer in enumerate(consumers):
         new = [fit for fit in dict.fromkeys(consumer.fits) if fit not in placed]
         placed.update(new)
-        loops = [[key, params, [new[i] for i in members]]
-                 for key, params, members in _loops([shapes[fit] for fit in new])]
+        keys = list(dict.fromkeys(shapes[fit][0] for fit in new))
+        loops: list[list] = []
+        for fit in sorted(new, key=lambda fit: (keys.index(shapes[fit][0]), -shapes[fit][1])):
+            if not place(loops, [fit]):
+                loops.append([*shapes[fit], [fit]])
         for later in consumers[at + 1 :] if loops else ():
-            for loop in loops if later.task == consumer.task else ():
-                join = [fit for fit in dict.fromkeys(later.fits)
-                        if fit not in placed and shapes[fit][0] == loop[0]]
-                sizes = [shapes[fit][1] for fit in join]
-                if join and _joins(loop, sizes):
-                    loop[1] += sum(sizes)
-                    loop[2] += join
-                    placed.update(join)
-        plan += [fits for _, _, fits in loops]
+            by_key: dict = {}
+            for fit in dict.fromkeys(later.fits) if later.task == consumer.task else ():
+                if fit not in placed:
+                    by_key.setdefault(shapes[fit][0], []).append(fit)
+            for fits in by_key.values():
+                if place(loops, fits):
+                    placed.update(fits)
+        plan += [fits for *_, fits in loops]
     return plan
 
 

@@ -105,8 +105,13 @@ class FeatureSpec:
     lowercase: bool = True
 
     def __post_init__(self):
-        if self.dims < 2 or self.dims & (self.dims - 1) != 0:
-            raise DataError(f"feature dims must be a power of two >= 2, got {self.dims}")
+        # With hidden_size <= 2^20 (Hyperparams), dims <= 2^32 keeps every int64
+        # index far below 2^63: a cell key ``row * dims + column``, a stack's
+        # column offsets times its width, a class-major cell (`_class_major`).
+        if not 2 <= self.dims <= 2**32 or self.dims & (self.dims - 1) != 0:
+            raise DataError(
+                f"feature dims must be a power of two in [2, 2**32], got {self.dims}"
+            )
         if not 1 <= self.ngram_max <= 3:
             raise DataError(f"ngram_max must be in [1, 3], got {self.ngram_max}")
 
@@ -132,8 +137,8 @@ class Hyperparams:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
         if self.l2 < 0:
             raise DataError(f"l2 must be non-negative, got {self.l2}")
-        if self.hidden_size < 0:
-            raise DataError(f"hidden_size must be >= 0, got {self.hidden_size}")
+        if not 0 <= self.hidden_size <= 2**20:
+            raise DataError(f"hidden_size must be in [0, 2**20], got {self.hidden_size}")
         if not 0 <= self.seed < 2**64:
             raise DataError("seed must fit in 64 unsigned bits")
 
@@ -672,6 +677,11 @@ def fit(train: Dataset, spec: FeatureSpec, hyper: Hyperparams) -> Model:
     return outcome
 
 
+def _lockstep_key(hyper: Hyperparams, rows: int, num_classes: int) -> tuple:
+    """What members of one lockstep loop share: hidden size, epochs, row count, class count."""
+    return hyper.hidden_size, hyper.epochs, rows, num_classes
+
+
 class _Member(NamedTuple):
     """One member of a lockstep loop and what it trains on.
 
@@ -762,11 +772,8 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
     if n == 0:
         raise DataError("cannot fit on an empty dataset")
     hidden, epochs = first.hyper.hidden_size, first.hyper.epochs
-    if any(
-        (m.hyper.hidden_size, m.hyper.epochs, len(m.rows), m.num_classes)
-        != (hidden, epochs, n, num_classes)
-        for m in members
-    ):
+    key = _lockstep_key(first.hyper, n, num_classes)
+    if any(_lockstep_key(m.hyper, len(m.rows), m.num_classes) != key for m in members):
         raise ValueError(
             "lockstep members must share hidden size, epochs, row count and class count"
         )

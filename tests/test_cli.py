@@ -15,6 +15,7 @@ from bagkit import cli, experiment, predictor, resample
 from bagkit.cli import (
     EXIT_IO,
     EXIT_OK,
+    EXIT_OTHER,
     EXIT_PARTIAL,
     EXIT_USAGE,
     EXIT_VALIDATION,
@@ -217,16 +218,18 @@ class TestRun:
             (task, m.model_kind, m.feature_spec)
             for c in configs for task in c.tasks for m in c.members if m.hyper_override is None
         )
-        search = experiment._loops([
-            experiment._shape(spec, hyper, len(data[task].train), data[task].train.num_classes)
-            for task, kind, spec in wanted for hyper in experiment.DEFAULT_SEARCH_SPACE[kind]
-        ])
+        search = experiment._schedule([
+            experiment._Consumer(r, None, tuple(
+                experiment._Fit(task, spec, h) for h in experiment.DEFAULT_SEARCH_SPACE[kind]
+            ))
+            for r, (task, kind, spec) in enumerate(wanted)
+        ], data)
         # Any winner gives the same plan: only shapes and identity matter.
         winners = {want: experiment.DEFAULT_HYPER[want[1]] for want in wanted}
         plan = experiment._schedule(experiment._batch_consumers(configs, data, winners)[0], data)
-        assert [len(members) for _, _, members in search] == [24, 12]
+        assert [len(loop) for loop in search] == [24, 12]
         assert [len(loop) for loop in plan] == [6, 6, 6, 1, 1, 1]
-        assert sum(len(members) for *_, members in search) + sum(map(len, plan)) == 57
+        assert sum(map(len, search)) + sum(map(len, plan)) == 57
         assert not any(td._cache for td in data.values())  # nothing built, nothing trained
 
         # The run follows the plan, with one design matrix per (task, split, feature space).
@@ -541,6 +544,14 @@ def _write_task_dir(data_dir, **meta):
         ({"hyper_override": {"learning_rate": 0.5, "epochs": 2, "l2": float("inf"),
                              "hidden_size": 0, "seed": 0}}, {}, None, EXIT_VALIDATION,
          "members[0]: l2 must be a finite float, got inf"),
+        ({"feature_spec": {"dims": 2**62}}, {}, None, EXIT_VALIDATION,
+         "members[0]: feature dims must be a power of two in [2, 2**32], got 4611686018427387904"),
+        ({"feature_spec": {"dims": 2**33}}, {}, None, EXIT_VALIDATION,
+         "members[0]: feature dims must be a power of two in [2, 2**32], got 8589934592"),
+        ({"model_kind": "mlp", "hyper_override": {"learning_rate": 0.5, "epochs": 2, "l2": 0.0,
+                                                  "hidden_size": 2**40, "seed": 0}},
+         {}, None, EXIT_VALIDATION,
+         "members[0]: hidden_size must be in [0, 2**20], got 1099511627776"),
         ({}, {"base_seed": 7.9}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": True}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": -5}, None, EXIT_VALIDATION, "configs[0]: config 'c1': base_seed"),
@@ -561,6 +572,7 @@ def _write_task_dir(data_dir, **meta):
     ids=[
         "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
         "ngram-float", "epochs-float", "epochs-zero", "learning-rate-nan", "l2-infinity",
+        "dims-2**62", "dims-2**33", "hidden-2**40",
         "seed-float", "seed-bool", "seed-negative", "seed-too-large", "task-duplicate",
         "task-path", "classes-string",
         "classes-float", "label-index-string", "label-map-list", "metric-unknown", "classes-one",
@@ -691,7 +703,8 @@ def _patch_first_member(data: bytes, case: str) -> bytes:
     "case",
     ["garbage", "meta-list", "no-param-order", "no-param-array", "spec-wrong-type",
      "spec-missing-field", "spec-bad-value", "hyper-nan-learning-rate", "param-wrong-length",
-     "zip-encrypted", "zip-method-99", "zip-deflate-garbage", "num-classes-0", "num-classes-1"],
+     "zip-encrypted", "zip-method-99", "zip-deflate-garbage", "num-classes-0", "num-classes-1",
+     "spec-dims-2**62", "hyper-hidden-2**40"],
 )
 def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
     """A model file that save_model did not write exits 5 naming the file."""
@@ -710,6 +723,10 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
         del meta["spec"]["ngram_max"]
     elif case == "spec-bad-value":
         meta["spec"]["dims"] = 17
+    elif case == "spec-dims-2**62":
+        meta["spec"]["dims"] = 2**62
+    elif case == "hyper-hidden-2**40":
+        meta["hyper"]["hidden_size"] = 2**40
     elif case == "hyper-nan-learning-rate":
         meta["hyper"]["learning_rate"] = float("nan")  # json.dumps writes NaN, and loads reads it
     elif case == "param-wrong-length":
@@ -744,6 +761,8 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
         (["prune", "--fraction", 1.5], "--fraction"),
         (["variance", "--model", "logreg", "--hidden", 5], "--hidden"),
         (["variance", "--hidden", 16], "--hidden"),  # logreg is the default model
+        (["variance", "--dims", 2**62], "--dims"),
+        (["variance", "--model", "mlp", "--hidden", 2**40], "--hidden"),
     ],
 )
 def test_bad_flag_value_is_validation_error(toy_workspace, tmp_path, capsys, argv, flag):
@@ -757,6 +776,39 @@ def test_bad_flag_value_is_validation_error(toy_workspace, tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("member", [
+    {"feature_spec": {"dims": 2**62}},
+    {"model_kind": "mlp", "hyper_override": {"learning_rate": 0.5, "epochs": 2, "l2": 0.0,
+                                             "hidden_size": 2**40, "seed": 0}},
+], ids=["dims-2**62", "hidden-2**40"])
+def test_run_refuses_an_oversized_layer_before_any_input(tmp_path, capsys, member):
+    """A feature space or hidden layer whose indices would wrap int64 exits 3, writing nothing."""
+    _write_config(tmp_path / "configs.json", member)
+    code = run_cli("run", "--config", tmp_path / "configs.json", "--data", tmp_path / "absent",
+                   "--out", tmp_path / "out")
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'configs.json'}: configs[0].members[0]: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 8.00 PiB for an array with shape (2**50,)"),
+     "error: Unable to allocate 8.00 PiB for an array with shape (2**50,)\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_error_line(toy_workspace, tmp_path, capsys, monkeypatch, error, line):
+    """An allocation that fails ends in one error line and exit 1, not a traceback."""
+    def run_batch(configs, data):
+        raise error
+
+    monkeypatch.setattr(cli, "_run_batch", run_batch)
+    code = run_cli("run", "--config", toy_workspace / "configs.json",
+                   "--data", toy_workspace / "data", "--out", tmp_path)
+    assert code == EXIT_OTHER
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize("verb", ["run", "report"])

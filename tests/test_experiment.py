@@ -654,22 +654,26 @@ class TestBatchLoops:
         assert str(failure) == "member has 3 classes, ensemble expects 2"
         assert result == expected
 
-    def test_a_size_group_over_the_real_parameter_cap_gets_its_own_loop(self):
-        key, other = (0, 30, 60, 2), (0, 30, 61, 2)
-        wide, narrow = 4098, 1026  # logreg-2048 and logreg-512 members, 2 classes
-        fit = (experiment._MAX_GROUP_PARAMS - wide) // narrow  # narrow members that may join
-        assert fit == 251  # 4,098 + 251 * 1,026 = 261,624 of 262,144
+    def test_fits_fill_the_real_parameter_cap_one_at_a_time(self, tasks):
+        def fit(dims, seed=0, epochs=30):
+            hyper = Hyperparams(epochs=epochs, seed=seed)
+            return experiment._Fit("ta", FeatureSpec(dims=dims), hyper)
 
-        def loops(shapes):
-            return [(params, members) for _, params, members in experiment._loops(shapes)]
+        def schedule(*fits):
+            return experiment._schedule([experiment._Consumer(0, "ta", fits)], tasks)
 
-        assert loops([(key, wide)] + [(key, narrow)] * fit) == [
-            (wide + fit * narrow, list(range(fit + 1)))
+        wide, narrow = fit(2048), [fit(512, seed) for seed in range(1, 253)]
+        key = (0, 30, 60, 2)  # logreg-2048 and logreg-512 members, 2 classes
+        assert [experiment._shape(f.spec, f.hyper, 60, 2) for f in (wide, narrow[0])] == [
+            (key, 4098), (key, 1026)
         ]
-        assert loops([(key, wide)] + [(key, narrow)] * (fit + 1)) == [
-            (wide, [0]), ((fit + 1) * narrow, list(range(1, fit + 2)))
-        ]
-        assert loops([(key, wide), (other, narrow)]) == [(wide, [0]), (narrow, [1])]
+        room = (experiment._MAX_GROUP_PARAMS - 4098) // 1026  # narrow fits that join the wide one
+        assert room == 251  # 4,098 + 251 * 1,026 = 261,624 of 262,144
+        # Largest first, then each narrow fit into the first loop with room.
+        assert schedule(*narrow[:room], wide) == [[wide, *narrow[:room]]]
+        assert schedule(wide, *narrow) == [[wide, *narrow[:room]], [narrow[room]]]
+        other = fit(512, epochs=5)  # another key: its own loop
+        assert schedule(wide, other) == [[wide], [other]]
 
     def test_extras_fill_loops_but_start_none(self, tasks, monkeypatch):
         data = {name: fresh(task) for name, task in tasks.items()}

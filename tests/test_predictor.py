@@ -1,6 +1,7 @@
 import hashlib
 import math
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ class TestSpecs:
     def test_dims_power_of_two(self, dims):
         with pytest.raises(DataError):
             FeatureSpec(dims=dims)
+
+    def test_layer_bounds(self):
+        # The largest feature space and hidden layer whose int64 indices cannot wrap.
+        assert FeatureSpec(dims=2**32).dims == 2**32
+        assert Hyperparams(hidden_size=2**20).hidden_size == 2**20
+        for dims in (2**33, 2**62):
+            with pytest.raises(DataError, match=r"power of two in \[2, 2\*\*32\], got"):
+                FeatureSpec(dims=dims)
+        for hidden in (2**20 + 1, 2**40):
+            with pytest.raises(DataError, match=r"hidden_size must be in \[0, 2\*\*20\], got"):
+                Hyperparams(hidden_size=hidden)
 
     def test_ngram_bounds(self):
         with pytest.raises(DataError):
@@ -955,6 +967,32 @@ class TestMixedLoops:
             assert isinstance(alone, TrainingDiverged) and str(outcome) == str(alone)
             solo_steps.append(len(shapes))
         assert steps == max(solo_steps) < 4 * 3
+
+    @pytest.mark.parametrize("hidden, name", [(0, "out_weight"), (4, "hidden_weight")],
+                             ids=["logreg", "mlp"])
+    def test_parameters_overflowing_after_the_last_loss(self, hidden, name):
+        # One epoch of one batch: its loss is finite, and its update overflows.
+        task = synthetic_task("overflow", seed=1, n_train=20, n_val=5, n_test=5)
+        spec = FeatureSpec(dims=64)
+        wild = Hyperparams(learning_rate=1e300, l2=1e10, epochs=1, hidden_size=hidden)
+        message = f"non-finite parameters in {name!r} after training"
+        with pytest.raises(TrainingDiverged) as alone:
+            fit(task.train, spec, wild)
+        assert str(alone.value) == message
+        # In a loop over three feature spaces, next to members that train.
+        quiet = Hyperparams(epochs=1, hidden_size=hidden)
+        pairs = [(spec, quiet), (spec, replace(wild, seed=1)),
+                 (FeatureSpec(dims=16), replace(quiet, seed=2)),
+                 (FeatureSpec(dims=256), replace(quiet, seed=3))]
+        members = [
+            _Member(_design_matrix(task.train, s), task.train.labels(), 2, s, h,
+                    np.array(bootstrap(20, 60 + k).indices))
+            for k, (s, h) in enumerate(pairs)
+        ]
+        outcomes = _fit_many(members)
+        assert [isinstance(o, TrainingDiverged) for o in outcomes] == [False, True, False, False]
+        assert str(outcomes[1]) == str(solo(members[1])) == message
+        self.assert_solo(outcomes, members)
 
     def test_members_must_share_class_count(self):
         two, three = (self.members(k, 0)[:1] for k in (2, 3))
