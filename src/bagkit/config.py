@@ -24,7 +24,8 @@ A batch config is one JSON document:
 
 Unknown fields anywhere are errors. ``feature_spec``, ``hyper_override``,
 ``prune_fraction``, and ``bagged`` may be omitted (defaults apply);
-``hyper_override`` fields must be given in full when present.
+``hyper_override`` fields must be given in full when present, with ``seed``
+0: every member's seed derives from ``base_seed``.
 
 A data directory holds one subdirectory per task, each with train.jsonl,
 val.jsonl, test.jsonl, and a task.json describing the label space:

@@ -153,6 +153,11 @@ class MemberSpec:
         if not 0.0 <= self.prune_fraction <= 1.0:
             raise ConfigError(f"prune_fraction must be in [0, 1], got {self.prune_fraction}")
         if self.hyper_override is not None:
+            if self.hyper_override.seed != 0:
+                raise ConfigError(
+                    f"hyper_override seed must be 0, got {self.hyper_override.seed}: "
+                    "member seeds derive from base_seed"
+                )
             hidden = self.hyper_override.hidden_size
             if self.model_kind == "logreg" and hidden != 0:
                 raise ConfigError("logreg member requires hidden_size 0 in hyper_override")

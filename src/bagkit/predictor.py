@@ -574,8 +574,6 @@ def _squared_norms(stack: np.ndarray, blocks: list[tuple[slice, int]] | None) ->
     return norms[0] if len(norms) == 1 else np.concatenate(norms)
 
 
-# Overflow is detected via the finite-loss check, not warnings.
-@np.errstate(all="ignore")
 def _loss_and_grads(
     params: dict[str, np.ndarray],
     x: _Rows,
@@ -583,12 +581,12 @@ def _loss_and_grads(
     num_classes: int,
     hidden_size: int,
     l2: np.ndarray,
-    want_grads: bool = True,
-    out: dict[str, np.ndarray] | None = None,
-    blocks: list[tuple[slice, int]] | None = None,
-    work: _Workspace | None = None,
-) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
-    """Mean cross-entropy plus 0.5 * l2 * ||weights||^2, and its gradients, per member.
+    *,
+    grads: dict[str, np.ndarray] | None,
+    blocks: list[tuple[slice, int]] | None,
+    work: _Workspace | None,
+) -> np.ndarray:
+    """Mean cross-entropy plus 0.5 * l2 * ||weights||^2 per member; its gradients into ``grads``.
 
     The one forward and gradient implementation: it is the lockstep training
     step, and, on a stack of one (`_one`), training_loss and the
@@ -598,14 +596,12 @@ def _loss_and_grads(
     after another, ``l2`` has one value per member, and the loss and each
     gradient have one row per member. A stack is ``(members, size)``, or,
     for the first-layer weights of members of several feature spaces, flat:
-    the `_rows` of ``blocks`` one after another. The gradients are written
-    into ``out`` (arrays shaped like ``params``, returned) when given, and
-    into new arrays otherwise.
-
-    With ``work``, a training loop's workspace, a sparse batch adds the
-    first-layer product ``x.T @ d`` only at its own cells, through a zero
-    accumulator kept in ``work`` (see `_fit_many`); without it the
-    zero-filled product is always added whole.
+    the `_rows` of ``blocks`` one after another (None when every stack is
+    2-D). With ``grads=None`` it returns the loss alone; otherwise it writes
+    the gradients into ``grads``, arrays shaped like ``params``, using the
+    workspace ``work``. A sparse batch adds the first-layer product ``x.T @
+    d`` only at its own cells, through a zero accumulator kept in ``work``
+    (see `_fit_many`). Overflow is left to the caller's ``np.errstate``.
     """
     hidden, logits = _forward(params, x, num_classes, hidden_size)
     members, batch = logits.shape[:2]
@@ -616,15 +612,13 @@ def _loss_and_grads(
         _squared_norms(params[name], blocks) for name in params if name.endswith("weight")
     )
     loss = data_loss + reg_loss
-    if not want_grads:
-        return loss, None
+    if grads is None:
+        return loss
 
     d_logits = probs
     d_logits[picked] -= 1.0
     d_logits /= batch
     d_member = d_logits.reshape(members, batch, num_classes)
-
-    grads = {name: np.empty_like(arr) for name, arr in params.items()} if out is None else out
 
     def weight_grad(name: str, product: np.ndarray | None) -> None:
         # l2 * w + product, elementwise the same floats as product + l2 * w,
@@ -635,7 +629,7 @@ def _loss_and_grads(
             grads[name] += product.reshape(grads[name].shape)
 
     def first_layer_grad(name: str, d: np.ndarray) -> None:
-        if work is None or len(x.data) >= _SPARSE_DENSITY * x.shape[1]:
+        if len(x.data) >= _SPARSE_DENSITY * x.shape[1]:
             return weight_grad(name, x.T @ d)
         weight_grad(name, None)
         grad = grads[name].reshape(-1)
@@ -651,7 +645,7 @@ def _loss_and_grads(
         d_hidden = (d_member @ w_o.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
         first_layer_grad("hidden_weight", d_hidden.reshape(-1, hidden_size))
         grads["hidden_bias"][...] = d_hidden.sum(axis=1)
-    return loss, grads
+    return loss
 
 
 def initialize(spec: FeatureSpec, hyper: Hyperparams, num_classes: int) -> Model:
@@ -721,8 +715,8 @@ def _joined(members: Sequence[_Member]) -> tuple[_Rows, np.ndarray, list[np.ndar
     return x, y, [m.rows + first_row[id(m.x)] for m in members]
 
 
-# Overflow is detected via the finite-loss check, not warnings; the state is
-# set once for the whole loop.
+# Overflow is detected via the finite-loss check, not warnings; this state is
+# the one every step runs under.
 @np.errstate(all="ignore")
 def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
     """The training loop: members trained in lockstep, a Model or a TrainingDiverged each.
@@ -800,17 +794,15 @@ def _fit_many(members: Sequence[_Member]) -> list[Model | TrainingDiverged]:
     rates = [(block, lr[rows]) for grad in grads.values() for rows, block in _rows(grad, blocks)]
     l2 = np.array([hyper.l2 for hyper in hypers])
     outcomes: list[Model | TrainingDiverged | None] = [None] * len(members)
-    # The step without its own errstate: _fit_many's holds for every step.
-    step = getattr(_loss_and_grads, "__wrapped__", _loss_and_grads)
 
     for epoch in range(epochs):
         for i, (member, rng) in enumerate(zip(ranked, rngs)):
             order[i] = row_sets[member][rng.permutation(n)]
         for start in range(0, n, _BATCH_SIZE):
             batch = order[:, start : start + _BATCH_SIZE].ravel()
-            loss, _ = step(
+            loss = _loss_and_grads(
                 params, x.gather(batch, columns, width, work), y[batch], num_classes, hidden,
-                l2, out=grads, blocks=blocks, work=work,
+                l2, grads=grads, blocks=blocks, work=work,
             )
             finite = np.isfinite(loss)
             if not finite.all():
@@ -865,15 +857,10 @@ def _forward_proba(model: Model, x: _Rows) -> np.ndarray:
 def training_loss(model: Model, dataset: Dataset) -> float:
     """Full-dataset training objective (cross-entropy + L2 term) for a model."""
     x = _design_matrix(dataset, model.spec)
-    loss, _ = _loss_and_grads(
-        _one(model.params),
-        x,
-        dataset.labels(),
-        model.num_classes,
-        model.hyper.hidden_size,
-        np.array([model.hyper.l2]),
-        want_grads=False,
-    )
+    with np.errstate(all="ignore"):  # overflow gives an infinite loss, not a warning
+        loss = _loss_and_grads(_one(model.params), x, dataset.labels(), model.num_classes,
+                               model.hyper.hidden_size, np.array([model.hyper.l2]),
+                               grads=None, blocks=None, work=None)
     return float(loss[0])
 
 
@@ -909,12 +896,17 @@ def load_model(path: str | Path) -> Model:
                 raise DataError(f"{path}: unrecognized model format {meta['format']!r}")
             for key, cls in (("spec", FeatureSpec), ("hyper", Hyperparams)):
                 check_object(meta[key], field_kinds(cls), f"{where}.{key}", DataError)
-            params = {name: np.array(npz[f"param:{name}"]) for name in meta["param_order"]}
+            params = {name: npz[f"param:{name}"] for name in meta["param_order"]}
     # What np.load and zipfile raise on bytes that are not an npz archive of
     # plain arrays, and a param_order naming arrays the archive lacks.
     except (KeyError, ValueError, TypeError, EOFError, NotImplementedError, RuntimeError,
             zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"{path}: not a bagkit model: {exc}") from exc
+    # What save_model writes, so that no other array is cast or flattened.
+    for name, arr in params.items():
+        if arr.dtype.kind != "f" or arr.dtype.itemsize != 8 or arr.ndim != 1:
+            raise DataError(f"{path}: parameter array {name!r} must be 1-D float64, "
+                            f"got dtype {arr.dtype} and shape {arr.shape}")
     try:
         return Model(
             spec=FeatureSpec(**meta["spec"]),

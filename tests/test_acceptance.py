@@ -17,7 +17,7 @@ import numpy as np
 import bagkit as bk
 from bagkit.experiment import MemberSpec, equivalence_group, variance_analysis
 from bagkit.metrics import accuracy, macro_f1, mean_std
-from bagkit.predictor import _design_matrix, _init_params, _loss_and_grads, _one
+from bagkit.predictor import _design_matrix, _init_params, _loss_and_grads, _one, _Workspace
 from bagkit.prune import prune_magnitude, PruneSpec
 from bagkit.toy import noisy_binary_task, synthetic_task, write_toy_workspace
 
@@ -217,7 +217,8 @@ def test_criterion_7_gradient_check():
     total = sum(p.size for p in params.values())
 
     l2 = np.array([0.01])
-    _, analytic = _loss_and_grads(_one(params), x, y, 2, 0, l2)
+    analytic = {name: np.empty_like(arr) for name, arr in _one(params).items()}
+    _loss_and_grads(_one(params), x, y, 2, 0, l2, grads=analytic, blocks=None, work=_Workspace())
     h = 1e-6
     numeric = {}
     for name in params:
@@ -225,9 +226,9 @@ def test_criterion_7_gradient_check():
         for k in range(params[name].size):
             probe = {n: a.copy() for n, a in params.items()}
             probe[name][k] += h
-            lp, _ = _loss_and_grads(_one(probe), x, y, 2, 0, l2, want_grads=False)
+            lp = _loss_and_grads(_one(probe), x, y, 2, 0, l2, grads=None, blocks=None, work=None)
             probe[name][k] -= 2 * h
-            lm, _ = _loss_and_grads(_one(probe), x, y, 2, 0, l2, want_grads=False)
+            lm = _loss_and_grads(_one(probe), x, y, 2, 0, l2, grads=None, blocks=None, work=None)
             g[k] = (lp[0] - lm[0]) / (2 * h)
         numeric[name] = g
     ga = np.concatenate([analytic[n][0] for n in sorted(params)])

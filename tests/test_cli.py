@@ -484,6 +484,15 @@ class TestPruneVerb:
         assert code == EXIT_IO
         assert "cannot write" in capsys.readouterr().err
 
+    def test_two_runs_write_the_same_bytes(self, tmp_path, capsys):
+        td = synthetic_task("clip", seed=2, n_train=60, n_val=20, n_test=20)
+        src = tmp_path / "model.npz"
+        save_model(fit(td.train, FeatureSpec(dims=128), Hyperparams(epochs=2)), src)
+        outs = [tmp_path / "p1.npz", tmp_path / "p2.npz"]
+        for dst in outs:
+            assert run_cli("prune", "--model", src, "--out", dst, "--fraction", 0.3) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_missing_model_file(self, tmp_path, capsys):
         code = run_cli(
             "prune", "--model", tmp_path / "no.npz", "--out", tmp_path / "o.npz", "--fraction", 0.1
@@ -552,6 +561,10 @@ def _write_task_dir(data_dir, **meta):
                                                   "hidden_size": 2**40, "seed": 0}},
          {}, None, EXIT_VALIDATION,
          "members[0]: hidden_size must be in [0, 2**20], got 1099511627776"),
+        *(({"hyper_override": {"learning_rate": 0.5, "epochs": 2, "l2": 0.0, "hidden_size": 0,
+                               "seed": seed}}, {}, None, EXIT_VALIDATION,
+           f"configs[0].members[0]: hyper_override seed must be 0, got {seed}: "
+           "member seeds derive from base_seed") for seed in (1, 12345)),
         ({}, {"base_seed": 7.9}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": True}, None, EXIT_VALIDATION, "base_seed"),
         ({}, {"base_seed": -5}, None, EXIT_VALIDATION, "configs[0]: config 'c1': base_seed"),
@@ -572,7 +585,7 @@ def _write_task_dir(data_dir, **meta):
     ids=[
         "bagged-string", "bagged-int", "prune-string", "prune-bool", "lowercase-string",
         "ngram-float", "epochs-float", "epochs-zero", "learning-rate-nan", "l2-infinity",
-        "dims-2**62", "dims-2**33", "hidden-2**40",
+        "dims-2**62", "dims-2**33", "hidden-2**40", "hyper-seed-1", "hyper-seed-12345",
         "seed-float", "seed-bool", "seed-negative", "seed-too-large", "task-duplicate",
         "task-path", "classes-string",
         "classes-float", "label-index-string", "label-map-list", "metric-unknown", "classes-one",
@@ -699,12 +712,24 @@ def _patch_first_member(data: bytes, case: str) -> bytes:
     return bytes(b)
 
 
+# Parameter arrays that save_model never writes: it writes 1-D float64 only.
+PARAM_ARRAYS = {
+    "param-str": np.array(["0.5", "1.5"]),
+    "param-bytes": np.array([b"0.5", b"1.5"]),
+    "param-complex": np.array([0.5 + 1j, 1.5]),
+    "param-bool": np.array([True, False]),
+    "param-int64": np.array([1, 2], dtype=np.int64),
+    "param-float32": np.array([0.5, 1.5], dtype=np.float32),
+    "param-2-D-float64": np.array([[0.5, 1.5]]),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     ["garbage", "meta-list", "no-param-order", "no-param-array", "spec-wrong-type",
      "spec-missing-field", "spec-bad-value", "hyper-nan-learning-rate", "param-wrong-length",
      "zip-encrypted", "zip-method-99", "zip-deflate-garbage", "num-classes-0", "num-classes-1",
-     "spec-dims-2**62", "hyper-hidden-2**40"],
+     "spec-dims-2**62", "hyper-hidden-2**40", *PARAM_ARRAYS],
 )
 def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
     """A model file that save_model did not write exits 5 naming the file."""
@@ -731,6 +756,8 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
         meta["hyper"]["learning_rate"] = float("nan")  # json.dumps writes NaN, and loads reads it
     elif case == "param-wrong-length":
         arrays["param:out_bias"] = np.zeros(5)
+    elif case in PARAM_ARRAYS:
+        arrays["param:out_bias"] = PARAM_ARRAYS[case]
     elif case.startswith("num-classes-"):
         # Arrays of the lengths that class count implies: only the count is wrong.
         meta["num_classes"] = k = int(case[-1])
@@ -748,6 +775,10 @@ def test_foreign_model_file_is_located_io_error(tmp_path, capsys, case):
     assert err.startswith("error: ") and str(path) in err
     if case.startswith("num-classes-"):
         assert f"num_classes must be >= 2, got {case[-1]}" in err
+    if case in PARAM_ARRAYS:  # never cast or flattened
+        array = PARAM_ARRAYS[case]
+        assert err == (f"error: {path}: parameter array 'out_bias' must be 1-D float64, "
+                       f"got dtype {array.dtype} and shape {array.shape}\n")
     assert not (tmp_path / "p.npz").exists()
 
 

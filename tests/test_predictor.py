@@ -1,5 +1,7 @@
 import hashlib
 import math
+import warnings
+import zipfile
 from array import array
 from dataclasses import replace
 
@@ -49,6 +51,20 @@ def lockstep(x, y, num_classes, spec, hypers, row_sets):
 def step_batch(x, batch, k):
     """One member's training-step gather of rows ``batch``: columns as they are, k-wide cells."""
     return x.gather(batch, np.array([0, x.shape[1]]), k, _Workspace())
+
+
+def step_grads(params, x, labels, num_classes, hidden, l2):
+    """`_loss_and_grads` of 2-D stacks into new buffers: the loss and the gradients."""
+    grads = {name: np.empty_like(arr) for name, arr in params.items()}
+    loss = _loss_and_grads(params, x, labels, num_classes, hidden, l2, grads=grads, blocks=None,
+                           work=_Workspace())
+    return loss, grads
+
+
+def loss_only(params, x, labels, num_classes, hidden, l2):
+    """The loss-only step of one member's flat arrays, as a finite-difference probe reads it."""
+    return _loss_and_grads(_one(params), x, labels, num_classes, hidden, np.array([l2]),
+                           grads=None, blocks=None, work=None)[0]
 
 
 def grad_dataset():
@@ -181,8 +197,8 @@ class TestFit:
             perm = rng.permutation(len(td.train))
             for start in range(0, len(td.train), 32):
                 batch = perm[start : start + 32]
-                _, grads = _loss_and_grads(params, step_batch(x, batch, hidden or 2), y[batch], 2,
-                                           hidden, np.array([hyper.l2]))
+                _, grads = step_grads(params, step_batch(x, batch, hidden or 2), y[batch], 2,
+                                      hidden, np.array([hyper.l2]))
                 for name, grad in grads.items():
                     params[name] = params[name] - hyper.learning_rate * grad
         model = fit(td.train, spec, hyper)
@@ -220,7 +236,7 @@ def reference_fit(x, y, spec, hyper, rows):
         order = rows[rng.permutation(len(rows))]
         for start in range(0, len(rows), 32):
             batch = order[start : start + 32]
-            _, grads = _loss_and_grads(
+            _, grads = step_grads(
                 params, step_batch(x, batch, hyper.hidden_size or 2), y[batch], 2,
                 hyper.hidden_size, np.array([hyper.l2]),
             )
@@ -666,12 +682,12 @@ class TestVectorBuild:
 
 
 class TestGradientBuffers:
-    """Gradients written into kept buffers are the allocated ones, bit for bit."""
+    """Gradients go into the caller's buffers, the same bits whichever buffers; no model keeps one."""
 
     SPEC = FeatureSpec(dims=64)
 
     @pytest.mark.parametrize("hidden", [0, 3], ids=["logreg", "mlp"])
-    def test_out_equals_allocating_path(self, hidden):
+    def test_two_buffers_get_equal_bits(self, hidden):
         td = synthetic_task("bufs", seed=6, n_train=40, n_val=10, n_test=10)
         x, y = _design_matrix(td.train, self.SPEC), td.train.labels()
         hypers = [Hyperparams(hidden_size=hidden, seed=s) for s in (1, 2)]
@@ -688,15 +704,20 @@ class TestGradientBuffers:
              y[batch], np.array([1e-3])),
         )
         for params, rows, labels, reg in cases:
-            loss, grads = _loss_and_grads(params, rows, labels, 2, hidden, reg)
-            bufs = {name: np.full_like(arr, np.nan) for name, arr in params.items()}
-            kept = dict(bufs)  # the arrays themselves, whatever happens to the dict
-            loss_out, grads_out = _loss_and_grads(params, rows, labels, 2, hidden, reg, out=bufs)
-            assert np.array_equal(loss_out, loss)
-            assert list(grads_out) == list(grads)
-            for name in grads:
-                assert np.shares_memory(grads_out[name], kept[name])
-                assert np.array_equal(kept[name], grads[name]), name
+            work, losses, filled = _Workspace(), [], []
+            for fill in (np.nan, 7.0):  # whatever the buffers held before
+                bufs = {name: np.full_like(arr, fill) for name, arr in params.items()}
+                losses.append(_loss_and_grads(params, rows, labels, 2, hidden, reg, grads=bufs,
+                                              blocks=None, work=work))
+                filled.append(bufs)
+            losses.append(_loss_and_grads(params, rows, labels, 2, hidden, reg, grads=None,
+                                          blocks=None, work=None))
+            assert losses[0].tobytes() == losses[1].tobytes() == losses[2].tobytes()
+            first, second = filled
+            assert list(first) == list(second) == list(params)
+            for name in params:
+                assert not np.shares_memory(first[name], second[name])
+                assert first[name].tobytes() == second[name].tobytes(), name
 
     def test_models_do_not_share_the_buffers(self, monkeypatch):
         from bagkit import predictor
@@ -706,9 +727,9 @@ class TestGradientBuffers:
         buffers = []
         real = predictor._loss_and_grads
 
-        def spy(*args, out=None, **kwargs):
-            buffers.append(out)
-            return real(*args, out=out, **kwargs)
+        def spy(*args, grads, **kwargs):
+            buffers.append(grads)
+            return real(*args, grads=grads, **kwargs)
 
         monkeypatch.setattr(predictor, "_loss_and_grads", spy)
         hypers = [
@@ -1052,12 +1073,10 @@ class TestGradients:
             for k in range(params[name].size):
                 probe = {n: a.copy() for n, a in params.items()}
                 probe[name][k] += h
-                lp, _ = _loss_and_grads(_one(probe), x, y, num_classes, hidden, np.array([l2]),
-                                        want_grads=False)
+                lp = loss_only(probe, x, y, num_classes, hidden, l2)
                 probe[name][k] -= 2 * h
-                lm, _ = _loss_and_grads(_one(probe), x, y, num_classes, hidden, np.array([l2]),
-                                        want_grads=False)
-                g[k] = (lp[0] - lm[0]) / (2 * h)
+                lm = loss_only(probe, x, y, num_classes, hidden, l2)
+                g[k] = (lp - lm) / (2 * h)
             out[name] = g
         return out
 
@@ -1074,12 +1093,72 @@ class TestGradients:
         params = _init_params(spec, hyper, 2, np.random.default_rng(5))
         assert sum(p.size for p in params.values()) == expected_params
 
-        _, analytic = _loss_and_grads(_one(params), x, y, 2, hidden, np.array([l2]))
+        _, analytic = step_grads(_one(params), x, y, 2, hidden, np.array([l2]))
         numeric = self._finite_diff(params, x, y, 2, hidden, l2)
         ga = np.concatenate([analytic[n][0] for n in sorted(params)])
         gf = np.concatenate([numeric[n] for n in sorted(params)])
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf))
         assert rel < 1e-4
+
+    def test_sparse_batch_matches_central_differences(self, monkeypatch):
+        # 3 rows at 4,096 dims: 6 entries, below _SPARSE_DENSITY * 4,096, so
+        # the first-layer gradient is added only at the batch's own cells.
+        from bagkit import predictor
+
+        ds = Dataset("grad3", grad_dataset().examples[:3], 2)
+        spec, l2 = FeatureSpec(dims=4096), 0.01
+        x, y = _design_matrix(ds, spec), ds.labels()
+        assert len(x.data) < predictor._SPARSE_DENSITY * x.shape[1]
+        params = _init_params(spec, Hyperparams(l2=l2), 2, np.random.default_rng(5))
+        added = []
+        real_add = predictor._Rows.add_product
+
+        def add_product(self, *args):
+            added.append(self.shape)
+            return real_add(self, *args)
+
+        monkeypatch.setattr(predictor._Rows, "add_product", add_product)
+        _, analytic = step_grads(_one(params), x, y, 2, 0, np.array([l2]))
+        assert added == [(4096, 3)]
+        # Every touched first-layer weight, a sample of untouched ones, both biases.
+        touched = np.unique(x.col[:, None] * 2 + np.arange(2)).tolist()
+        assert len(touched) == 12  # 6 columns, 2 classes each
+        untouched = np.setdiff1d(np.arange(4096 * 2), touched)
+        sample = np.random.default_rng(0).choice(untouched, 24, replace=False).tolist()
+        probes = [("out_weight", k) for k in touched + sample] + [("out_bias", 0), ("out_bias", 1)]
+        ga, gf, h = [], [], 1e-6
+        for name, k in probes:
+            probe = {n: a.copy() for n, a in params.items()}
+            probe[name][k] += h
+            lp = loss_only(probe, x, y, 2, 0, l2)
+            probe[name][k] -= 2 * h
+            gf.append((lp - loss_only(probe, x, y, 2, 0, l2)) / (2 * h))
+            ga.append(analytic[name][0, k])
+        ga, gf = np.array(ga), np.array(gf)
+        rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf))
+        assert rel < 1e-4
+
+
+class TestErrorState:
+    """Each entry point holds its own np.errstate: overflow gives no warning, only its result."""
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["logreg", "mlp"])
+    def test_fit_diverges_without_a_warning(self, hidden):
+        td = synthetic_task("warn", seed=4, n_train=20, n_val=10, n_test=10)
+        hyper = Hyperparams(learning_rate=1e300, l2=1e10, epochs=1, hidden_size=hidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged):
+                fit(td.train, FeatureSpec(dims=64), hyper)
+
+    def test_training_loss_overflows_to_inf_without_a_warning(self):
+        td = synthetic_task("warn", seed=4, n_train=20, n_val=10, n_test=10)
+        model = initialize(FeatureSpec(dims=64), Hyperparams(), 2)
+        huge = replace(model, params={name: np.full_like(arr, 1e200)
+                                      for name, arr in model.params.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert training_loss(huge, td.train) == math.inf
 
 
 class TestSerialization:
@@ -1095,6 +1174,17 @@ class TestSerialization:
         assert np.array_equal(
             predict_proba_dataset(model, td.test), predict_proba_dataset(loaded, td.test)
         )
+
+    def test_two_saves_write_the_same_bytes(self, tmp_path):
+        td = synthetic_task("ser", seed=12, n_train=40, n_val=10, n_test=10)
+        model = fit(td.train, FeatureSpec(dims=64), Hyperparams(epochs=2, hidden_size=3))
+        paths = [tmp_path / "a.npz", tmp_path / "b.npz"]
+        for path in paths:
+            save_model(model, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # numpy stamps every entry with the same fixed time, not the clock's.
+        with zipfile.ZipFile(paths[0]) as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
